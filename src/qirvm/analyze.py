@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AmbiguousEntry, NoEntry
+from .backends import DEFAULT_MAX_QUBITS
+from .errors import AmbiguousEntry, EntryPointError, NoEntry
 from .ir import (
     BoolVar,
     Call,
@@ -56,6 +57,8 @@ def _count_from_group(group, keys) -> Optional[int]:
     for key in keys:
         value = group.get(key)
         if value is not None:
+            if not (value.isascii() and value.isdigit()):
+                raise EntryPointError(f"{key} must be a non-negative integer, got {value!r}")
             return int(value)
     return None
 
@@ -151,6 +154,9 @@ def validate_profile(
     """
     diagnostics = []
     fn = module.function(entry.function_name)
+    if entry.num_qubits > DEFAULT_MAX_QUBITS:
+        message = f"{entry.num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
+        diagnostics.append(Diagnostic("error", message, fn.name))
     measured = set()
     read_results = []
 

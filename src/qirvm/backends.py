@@ -23,8 +23,9 @@ class BackendInterface(abc.ABC):
     """Contract the interpreter drives; see also create_backend()."""
 
     @abc.abstractmethod
-    def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None):
-        ...
+    def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None,
+                 path: Optional["ShotPath"] = None):
+        """Start a shot; with `path`, its draws and trie replace `rng`."""
 
     @abc.abstractmethod
     def apply_gate(self, gate_id: GateId, params, targets):
@@ -54,20 +55,25 @@ class StatevectorBackend(BackendInterface):
         self.max_qubits = max_qubits
         self.n = 0
         self.amplitudes = None
-        self.rng = None
+        self.path = None
 
     def name(self) -> str:
         return "statevector"
 
-    def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None):
+    def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None,
+                 path: Optional["ShotPath"] = None):
         if num_qubits > self.max_qubits:
             raise RuntimeFault(
                 f"{num_qubits} qubits exceeds the configured maximum of {self.max_qubits}"
             )
         self.n = num_qubits
-        self.amplitudes = np.zeros(2 ** max(num_qubits, 0), dtype=complex)
-        self.amplitudes[0] = 1.0
-        self.rng = rng
+        self.path = path if path is not None else ShotPath(rng)
+        # While replaying a walk that ends in a stored state, amplitudes stay
+        # None (gates are skipped) until the measurement that loads it.
+        self.amplitudes = None
+        if self.path.start is None:
+            self.amplitudes = np.zeros(2 ** max(num_qubits, 0), dtype=complex)
+            self.amplitudes[0] = 1.0
 
     def _check_targets(self, targets):
         if len(set(targets)) != len(targets):
@@ -82,15 +88,10 @@ class StatevectorBackend(BackendInterface):
             raise RuntimeFault(
                 f"{gate_id.name} acts on {GATE_ARITY[gate_id]} qubit(s), got {len(targets)}"
             )
-        params = tuple(params)
-        if self.n <= _FULL_MATRIX_MAX_QUBITS:
-            full = _full_matrix(gate_id, params, tuple(targets), self.n)
-            if full is not None:
-                self.amplitudes = full @ self.amplitudes
-                return
-        self.amplitudes = _apply_matrix(
-            self.amplitudes, _cached_matrix(gate_id, params), targets, self.n
-        )
+        if self.amplitudes is not None:
+            self.amplitudes = _apply_matrix(
+                self.amplitudes, _cached_matrix(gate_id, tuple(params)), targets, self.n
+            )
 
     def _prob_one(self, qubit: int) -> float:
         # view with the measured qubit as the middle axis
@@ -101,10 +102,18 @@ class StatevectorBackend(BackendInterface):
     def measure(self, qubit: int) -> int:
         if not 0 <= qubit < self.n:
             raise RuntimeFault(f"qubit index {qubit} out of range for {self.n} qubits")
-        if self.rng is None:
+        path = self.path
+        if path.rng is None:
             raise RuntimeFault("statevector backend needs an RNG stream to measure")
-        p1 = self._prob_one(qubit)
-        outcome = 1 if self.rng.random() < p1 else 0
+        node, u = path.draw()
+        if self.amplitudes is None:
+            if node is not path.start:
+                return 1 if u < node.p1 else 0
+            self.amplitudes = node.state.copy()
+        p1 = self._prob_one(qubit) if node is None else node.p1
+        outcome = 1 if u < p1 else 0
+        if node is None:
+            path.grow(p1, self.amplitudes, outcome)
         self._project(qubit, outcome, p1 if outcome else 1.0 - p1)
         return outcome
 
@@ -136,38 +145,91 @@ def _cached_matrix(gate_id: GateId, params: tuple) -> np.ndarray:
     return matrix
 
 
-# Shot loops re-apply the same gate instance thousands of times, so on the
-# second sighting of a (gate, params, targets, n) key we embed it once into
-# the full 2^n x 2^n operator and replay it as a single matvec.  One-off
-# applications (e.g. randomized sequences) never pay the embedding cost.
-_FULL_MATRIX_MAX_QUBITS = 8
-_FULL_CACHE = {}
-_SEEN_ONCE = set()
+# Shot branching.  The gates a shot applies between two measurements depend
+# only on the outcomes drawn before them, so a run keeps one trie of outcome
+# histories.  A node is the point just before a measurement draw reached by
+# one history: it holds that draw's p1 and, within a budget, the state
+# vector there.  A leaf holds the output the history records.  Every stored
+# value is what a shot with that history computes from |0...0> by the same
+# float operations, so a shot that reuses them draws the same outcomes.
+MAX_TRIE_NODES = 1 << 16
+MAX_STORED_AMPLITUDES = 1 << 16
 
 
-def _full_matrix(gate_id: GateId, params, targets, n: int):
-    key = (gate_id, params, targets, n)
-    full = _FULL_CACHE.get(key)
-    if full is not None:
-        return full
-    if key not in _SEEN_ONCE:
-        if len(_SEEN_ONCE) > 1 << 16:
-            _SEEN_ONCE.clear()
-        _SEEN_ONCE.add(key)
-        return None
-    if len(_FULL_CACHE) >= 1024:
-        return None
-    matrix = _cached_matrix(gate_id, params)
-    dim = 2 ** n
-    full = np.empty((dim, dim), dtype=complex)
-    basis = np.zeros(dim, dtype=complex)
-    for col in range(dim):
-        basis[:] = 0.0
-        basis[col] = 1.0
-        full[:, col] = _apply_matrix(basis, matrix, targets, n)
-    full.setflags(write=False)
-    _FULL_CACHE[key] = full
-    return full
+class _Node:
+    __slots__ = ("p1", "state", "children")
+
+    def __init__(self, p1: float, state):
+        self.p1 = p1
+        self.state = state
+        self.children = [None, None]  # per outcome: a _Node, a leaf, or None
+
+
+class OutcomeTrie:
+    """One run's outcome-history trie; ShotPath walks and extends it."""
+
+    def __init__(self):
+        self.root = [None]
+        self.nodes = 0
+        self.stored_amplitudes = 0
+
+
+class ShotPath:
+    """One shot's walk down an OutcomeTrie, then its replay on a backend.
+
+    The walk draws one uniform per node from the shot's stream, outcome 1
+    iff u < p1, and stops at a leaf, which is the shot's output, or at an
+    empty slot.  On such a miss the shot runs on a backend allocated with
+    this path.  The backend skips gates until the deepest node on the walk
+    that stores a state, replays the walk's draws, and adds a node for
+    each later draw.  Without a trie the path just draws from `rng`.
+    """
+
+    def __init__(self, rng: Optional[np.random.Generator], trie: Optional[OutcomeTrie] = None):
+        self.rng = rng
+        self.trie = trie
+        self.walk = []  # (node, u) for each node the walk passed
+        self.start = None
+        self.leaf = None
+        self.tail = None  # (children, outcome): the slot the next node or leaf fills
+        if trie is not None:
+            slots, outcome = trie.root, 0
+            while isinstance(slots[outcome], _Node):
+                node, u = slots[outcome], rng.random()
+                self.walk.append((node, u))
+                if node.state is not None:
+                    self.start = node
+                slots, outcome = node.children, 1 if u < node.p1 else 0
+            self.leaf = slots[outcome]
+            self.tail = (slots, outcome)
+        self._replay = iter(self.walk)
+
+    def draw(self):
+        """The next measurement's walk node (None past the walk) and uniform."""
+        return next(self._replay, None) or (None, self.rng.random())
+
+    def grow(self, p1: float, state, outcome: int):
+        """Add a node for a draw past the walk, storing a copy of `state` if it fits."""
+        trie = self.trie
+        if self.tail is None or trie.nodes >= MAX_TRIE_NODES:
+            self.tail = None
+            return
+        trie.nodes += 1
+        if state is not None and trie.stored_amplitudes + state.size <= MAX_STORED_AMPLITUDES:
+            trie.stored_amplitudes += state.size
+            state = state.copy()
+        else:
+            state = None
+        node = _Node(p1, state)
+        slots, slot = self.tail
+        slots[slot] = node
+        self.tail = (node.children, outcome)
+
+    def seal(self, output):
+        """Record `output` as the leaf that this shot's history ends in."""
+        if self.tail is not None:
+            slots, slot = self.tail
+            slots[slot] = output
 
 
 def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:
@@ -204,14 +266,16 @@ class TraceBackend(BackendInterface):
         self._measure_cursor = 0
         self.log = []
         self.n = 0
+        self.path = None
 
     def name(self) -> str:
         return "trace"
 
-    def allocate(self, num_qubits: int, rng=None):
+    def allocate(self, num_qubits: int, rng=None, path=None):
         self.n = num_qubits
         self.log = []
         self._measure_cursor = 0
+        self.path = path
 
     def apply_gate(self, gate_id: GateId, params, targets):
         self.log.append((gate_id.value, tuple(params), tuple(targets)))
@@ -223,6 +287,8 @@ class TraceBackend(BackendInterface):
         else:
             bit = 0
         self.log.append(("mz", (), (qubit,)))
+        if self.path is not None and self.path.draw()[0] is None:
+            self.path.grow(float(bit), None, int(bit))  # p1 of a forced outcome
         return int(bit)
 
     def reset(self, qubit: int):

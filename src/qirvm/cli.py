@@ -67,6 +67,9 @@ def main(argv: Optional[list] = None) -> int:
     if args.shots < 1:
         print("error: --shots must be at least 1", file=sys.stderr)
         return EX_USAGE
+    if args.seed < 0:
+        print("error: --seed must not be negative", file=sys.stderr)
+        return EX_USAGE
 
     try:
         with open(args.input, encoding="utf-8") as handle:

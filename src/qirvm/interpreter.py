@@ -1,10 +1,11 @@
 """Shot-by-shot execution of the entry function.
 
-Shot counts live outside the program, so the engine re-executes the
-entry function once per shot with a fresh backend state, a fresh SSA
-environment, and an RNG stream derived deterministically from
-(seed, shot_index).  Shots are therefore order-independent and could be
-run in parallel without changing the histogram.
+Shot counts live outside the program, so each shot is the entry function
+run with a fresh backend state, a fresh SSA environment, and an RNG stream
+derived deterministically from (seed, shot_index).  Shots are therefore
+order-independent: a shot whose outcome history an earlier shot already
+ran reuses that work (see OutcomeTrie) and gets the same output it would
+have computed itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .analyze import EntryPoint
-from .backends import BackendInterface, create_backend
+from .backends import BackendInterface, OutcomeTrie, ShotPath, create_backend
 from .errors import RuntimeFault
 from .ir import (
     BoolVar,
@@ -31,7 +32,8 @@ from .ir import (
     ResultRef,
     ReturnVoid,
 )
-from .recorder import RunResult, ShotOutput, ShotRecorder, aggregate
+from .recorder import Histogram, RunResult, ShotOutput, ShotRecorder
+from .recorder import aggregate  # noqa: F401  (public name of this module too)
 from .registry import OpKind, Registry, Unresolved
 
 DEFAULT_SHOTS = 1024
@@ -208,30 +210,36 @@ def run_program(
     registry: Registry,
     config: RunConfig,
 ) -> RunResult:
-    """Execute the entry function config.shots times and aggregate."""
-    outputs = []
+    """Execute the entry function config.shots times and aggregate.
+
+    Shots share one OutcomeTrie.  A shot whose drawn outcome history is
+    already in it takes the recorded output without running; any other
+    runs here and extends the trie.  Outputs stream into the histogram.
+    """
     plan = _compile_calls(module.function(entry.function_name), registry)
+    trie = OutcomeTrie()
+    histogram = Histogram(keep_per_shot=config.per_shot)
     for shot_index in range(config.shots):
-        backend = create_backend(config.backend_choice)
-        backend.allocate(entry.num_qubits, rng=shot_rng(config.seed, shot_index))
-        recorder = ShotRecorder()
-        try:
-            outputs.append(
-                execute_shot(
-                    module, entry, registry, backend, recorder,
+        path = ShotPath(shot_rng(config.seed, shot_index), trie)
+        output = path.leaf
+        if output is None:
+            backend = create_backend(config.backend_choice)
+            backend.allocate(entry.num_qubits, path=path)
+            try:
+                output = execute_shot(
+                    module, entry, registry, backend, ShotRecorder(),
                     step_limit=config.step_limit, plan=plan,
                 )
-            )
-        except RuntimeFault as fault:
-            raise RuntimeFault(f"shot {shot_index}: {fault}") from fault
+            except RuntimeFault as fault:
+                raise RuntimeFault(f"shot {shot_index}: {fault}") from fault
+            path.seal(output)
+        histogram.add(output)
 
-    return aggregate(
-        outputs,
+    return histogram.result(
         program_name=module.source_name or entry.function_name,
         backend_name=config.backend_choice,
         seed=config.seed,
         rng_id=RNG_ID,
         num_qubits=entry.num_qubits,
         num_results=entry.num_results,
-        keep_per_shot=config.per_shot,
     )

@@ -58,46 +58,50 @@ class RunResult:
     per_shot: Optional[tuple] = None
 
 
-def aggregate(
-    shot_outputs,
-    *,
-    program_name: str,
-    backend_name: str,
-    seed: int,
-    rng_id: str,
-    num_qubits: int,
-    num_results: int,
-    keep_per_shot: bool = False,
-) -> RunResult:
-    """Histogram shot bitstrings; all shots must record the same length."""
-    outputs = list(shot_outputs)
-    lengths = {len(s.bitstring) for s in outputs}
-    if len(lengths) > 1:
-        raise RuntimeFault(
-            f"shots recorded different result counts: {sorted(lengths)}"
+class Histogram:
+    """Streams shot outputs into counts; keeps per-shot bitstrings on request."""
+
+    def __init__(self, keep_per_shot: bool = False):
+        self.counts = {}
+        self.lengths = set()
+        self.labels = None
+        self.per_shot = [] if keep_per_shot else None
+        self.shots = 0
+
+    def add(self, shot: ShotOutput):
+        self.shots += 1
+        self.counts[shot.bitstring] = self.counts.get(shot.bitstring, 0) + 1
+        self.lengths.add(len(shot.bitstring))
+        if self.labels is None and any(lbl is not None for lbl in shot.labels):
+            self.labels = shot.labels
+        if self.per_shot is not None:
+            self.per_shot.append(shot.bitstring)
+
+    def result(self, **meta) -> RunResult:
+        """The RunResult for the shots added; all must record the same length."""
+        if len(self.lengths) > 1:
+            raise RuntimeFault(
+                f"shots recorded different result counts: {sorted(self.lengths)}"
+            )
+        return RunResult(
+            shots=self.shots,
+            histogram=self.counts,
+            labels=self.labels,
+            per_shot=tuple(self.per_shot) if self.per_shot is not None else None,
+            **meta,
         )
-    histogram = {}
-    for s in outputs:
-        histogram[s.bitstring] = histogram.get(s.bitstring, 0) + 1
 
-    labels = None
-    for s in outputs:
-        if any(lbl is not None for lbl in s.labels):
-            labels = s.labels
-            break
 
-    return RunResult(
-        program_name=program_name,
-        backend_name=backend_name,
-        shots=len(outputs),
-        seed=seed,
-        rng_id=rng_id,
-        num_qubits=num_qubits,
-        num_results=num_results,
-        histogram=histogram,
-        labels=labels,
-        per_shot=tuple(s.bitstring for s in outputs) if keep_per_shot else None,
-    )
+def aggregate(shot_outputs, *, keep_per_shot: bool = False, **meta) -> RunResult:
+    """Histogram shot bitstrings; all shots must record the same length.
+
+    `meta` gives the RunResult fields that do not come from the shots:
+    program_name, backend_name, seed, rng_id, num_qubits and num_results.
+    """
+    histogram = Histogram(keep_per_shot)
+    for shot in shot_outputs:
+        histogram.add(shot)
+    return histogram.result(**meta)
 
 
 def emit_json(result: RunResult) -> str:

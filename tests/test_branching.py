@@ -1,0 +1,284 @@
+"""Shot branching: run_program against a plain loop of fresh shots.
+
+The reference runs every shot through `execute_shot` on a fresh
+`StatevectorBackend` with its own `shot_rng(seed, i)` stream, which is what
+run_program did before shots shared an outcome-history trie.  The two must
+give byte-identical JSON, or fault at the same shot with the same message.
+"""
+
+import math
+import os
+import struct
+import subprocess
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qirvm import (
+    RunConfig,
+    RuntimeFault,
+    ShotRecorder,
+    StatevectorBackend,
+    aggregate,
+    default_registry,
+    emit_json,
+    execute_shot,
+    find_entry,
+    parse_module,
+    run_program,
+    shot_rng,
+)
+from qirvm import backends
+from qirvm.backends import OutcomeTrie, ShotPath
+from qirvm.interpreter import RNG_ID
+
+from conftest import QPE_LL, TELEPORT_LL, make_program
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+GATES_1Q = ["h", "x", "y", "z", "s", "t", "sy"]
+ADJOINTS_1Q = ["s", "t"]
+ROTATIONS = ["rx", "ry", "rz"]
+GATES_2Q = ["cnot", "cy", "cz", "swap", "zz", "xx"]
+
+DECLS = "\n".join(
+    [f"declare void @__quantum__qis__{g}__body(%Qubit*)" for g in GATES_1Q]
+    + [f"declare void @__quantum__qis__{g}__adj(%Qubit*)" for g in ADJOINTS_1Q]
+    + [f"declare void @__quantum__qis__{g}__body(double, %Qubit*)" for g in ROTATIONS]
+    + [f"declare void @__quantum__qis__{g}__body(%Qubit*, %Qubit*)" for g in GATES_2Q]
+    + [
+        "declare void @__quantum__qis__rzz__body(double, %Qubit*, %Qubit*)",
+        "declare void @__quantum__qis__ccnot__body(%Qubit*, %Qubit*, %Qubit*)",
+        "declare void @__quantum__qis__mz__body(%Qubit*, %Result* writeonly)",
+        "declare void @__quantum__qis__reset__body(%Qubit*)",
+        "declare i1 @__quantum__qis__read_result__body(%Result*)",
+        "declare void @__quantum__rt__array_record_output(i64, i8*)",
+        "declare void @__quantum__rt__result_record_output(%Result*, i8*)",
+    ]
+)
+
+
+def qubit(q):
+    return "%Qubit* null" if q == 0 else f"%Qubit* inttoptr (i64 {q} to %Qubit*)"
+
+
+def result(r):
+    return "%Result* null" if r == 0 else f"%Result* inttoptr (i64 {r} to %Result*)"
+
+
+def hexdouble(value):
+    return "0x%016X" % struct.unpack(">Q", struct.pack(">d", value))[0]
+
+
+def call(name, *args, suffix="body"):
+    return f"  call void @__quantum__qis__{name}__{suffix}({', '.join(args)})"
+
+
+def mz(q, r):
+    return call("mz", qubit(q), result(r))
+
+
+def branch(index, r, then_lines, else_lines):
+    return [
+        f"  %c{index} = call i1 @__quantum__qis__read_result__body({result(r)})",
+        f"  br i1 %c{index}, label %then{index}, label %else{index}",
+        f"then{index}:",
+        *then_lines,
+        f"  br label %join{index}",
+        f"else{index}:",
+        *else_lines,
+        f"  br label %join{index}",
+        f"join{index}:",
+    ]
+
+
+def program(lines, num_qubits, recorded, num_results):
+    body = ["entry:", *lines,
+            f"  call void @__quantum__rt__array_record_output(i64 {len(recorded)}, i8* null)"]
+    body += [f"  call void @__quantum__rt__result_record_output({result(r)}, i8* null)"
+             for r in recorded]
+    body.append("  ret void")
+    return make_program(
+        "\n".join(body),
+        declarations=DECLS,
+        attrs=f'"entry_point" "num_required_qubits"="{num_qubits}" '
+              f'"num_required_results"="{num_results}"',
+    )
+
+
+def reference(module, entry, shots, seed, step_limit=10 ** 7):
+    """Plain per-shot loop: JSON text, or the fault run_program must raise."""
+    registry = default_registry()
+    outputs = []
+    for shot_index in range(shots):
+        backend = StatevectorBackend()
+        backend.allocate(entry.num_qubits, rng=shot_rng(seed, shot_index))
+        try:
+            outputs.append(execute_shot(module, entry, registry, backend, ShotRecorder(),
+                                        step_limit=step_limit))
+        except RuntimeFault as fault:
+            return RuntimeFault(f"shot {shot_index}: {fault}")
+    return emit_json(aggregate(
+        outputs,
+        program_name=module.source_name or entry.function_name,
+        backend_name="statevector",
+        seed=seed,
+        rng_id=RNG_ID,
+        num_qubits=entry.num_qubits,
+        num_results=entry.num_results,
+        keep_per_shot=True,
+    ))
+
+
+def assert_matches_reference(source, shots, seed, step_limit=10 ** 7):
+    module = parse_module(source)
+    entry = find_entry(module)
+    expected = reference(module, entry, shots, seed, step_limit)
+    config = RunConfig(shots=shots, seed=seed, per_shot=True, step_limit=step_limit)
+    if isinstance(expected, RuntimeFault):
+        with pytest.raises(RuntimeFault) as raised:
+            run_program(module, entry, default_registry(), config)
+        assert str(raised.value) == str(expected)
+        return expected
+    assert emit_json(run_program(module, entry, default_registry(), config)) == expected
+    return expected
+
+
+@st.composite
+def feed_forward_programs(draw):
+    """Random gates, mid-circuit mz/reset and `br i1` on read_result.
+
+    Records every result some path measures, so a history that skips a
+    measurement faults on the unmeasured result; both sides must agree.
+    """
+    n = draw(st.integers(1, 4))
+    num_results = draw(st.integers(1, 3))
+    measured = set()
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+    def ops():
+        lines = []
+        for _ in range(draw(st.integers(0, 5))):
+            kind = draw(st.sampled_from(["1q", "1q", "rot", "2q", "3q", "mz", "reset"]))
+            if kind in ("2q", "3q") and n < int(kind[0]):
+                kind = "1q"
+            if kind == "1q":
+                name = draw(st.sampled_from(GATES_1Q + ADJOINTS_1Q))
+                suffix = "adj" if draw(st.booleans()) and name in ADJOINTS_1Q else "body"
+                lines.append(call(name, qubit(draw(st.integers(0, n - 1))), suffix=suffix))
+            elif kind == "rot":
+                name = draw(st.sampled_from(ROTATIONS + ["rzz"] * (n > 1)))
+                targets = draw(st.permutations(range(n)))[: 2 if name == "rzz" else 1]
+                lines.append(call(name, f"double {hexdouble(draw(angles))}",
+                                  *map(qubit, targets)))
+            elif kind in ("2q", "3q"):
+                name = draw(st.sampled_from(GATES_2Q)) if kind == "2q" else "ccnot"
+                targets = draw(st.permutations(range(n)))[: int(kind[0])]
+                lines.append(call(name, *map(qubit, targets)))
+            elif kind == "mz":
+                r = draw(st.integers(0, num_results - 1))
+                measured.add(r)
+                lines.append(mz(draw(st.integers(0, n - 1)), r))
+            else:
+                lines.append(call("reset", qubit(draw(st.integers(0, n - 1)))))
+        return lines
+
+    lines = ops()
+    for index in range(draw(st.integers(0, 4))):
+        r, q = draw(st.integers(0, num_results - 1)), draw(st.integers(0, n - 1))
+        # a rotation first, so most branch conditions are random
+        lines += [call("ry", f"double {hexdouble(draw(angles))}", qubit(q)), mz(q, r)]
+        measured.add(r)
+        lines += branch(index, r, ops(), ops())
+        lines += ops()
+    recorded = sorted(measured)
+    return program(lines, n, recorded, num_results)
+
+
+# Small budgets make misses replay from an ancestor's stored state, or from
+# |0...0>, and stop the trie growing partway through a run.
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
+       st.sampled_from([backends.MAX_STORED_AMPLITUDES, 32, 0]),
+       st.sampled_from([backends.MAX_TRIE_NODES, 3]))
+def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes):
+    with mock.patch.multiple(backends, MAX_STORED_AMPLITUDES=max_amplitudes,
+                             MAX_TRIE_NODES=max_nodes):
+        assert_matches_reference(source, shots, seed)
+
+
+def test_teleport_matches_per_shot_loop():
+    assert_matches_reference(TELEPORT_LL, shots=512, seed=11)
+
+
+def test_state_too_large_to_store_starts_misses_from_zero_state():
+    n = 17
+    assert 2 ** n > backends.MAX_STORED_AMPLITUDES
+    lines = [call("h", qubit(0)), mz(0, 0), *branch(0, 0, [call("x", qubit(n - 1))], []),
+             call("h", qubit(1)), mz(1, 1), mz(n - 1, 2)]
+    source = program(lines, n, [0, 1, 2], 3)
+    assert_matches_reference(source, shots=24, seed=3)
+
+    module = parse_module(source)
+    entry = find_entry(module)
+    registry = default_registry()
+    trie = OutcomeTrie()
+    walked = 0
+    for shot_index in range(8):
+        path = ShotPath(shot_rng(3, shot_index), trie)
+        if path.leaf is None:
+            backend = StatevectorBackend()
+            backend.allocate(n, path=path)
+            assert path.start is None and backend.amplitudes[0] == 1.0
+            walked += bool(path.walk)
+            path.seal(execute_shot(module, entry, registry, backend, ShotRecorder()))
+    assert trie.nodes > 0 and trie.stored_amplitudes == 0
+    assert walked > 0  # some misses replayed a walk without a stored state
+
+
+def test_step_limit_hit_on_one_history_only():
+    lines = [call("h", qubit(0)), mz(0, 0),
+             f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})",
+             "  br i1 %c, label %spin, label %done",
+             "spin:", "  br label %spin", "done:"]
+    fault = assert_matches_reference(program(lines, 1, [0], 1), shots=16, seed=0,
+                                     step_limit=500)
+    assert "step limit of 500 exceeded" in str(fault)
+    assert not str(fault).startswith("shot 0:")  # earlier shots were sealed first
+
+
+def test_fault_names_lowest_faulting_shot():
+    # result 2 is measured only when both earlier outcomes are 0; otherwise
+    # recording it faults, after a walk that replays from a stored state
+    lines = [call("h", qubit(0)), call("h", qubit(1)), mz(0, 0),
+             *branch(0, 0, [], [mz(1, 1), *branch(1, 1, [], [mz(1, 2)])])]
+    source = program(lines, 2, [2], 3)
+    faults = {seed: assert_matches_reference(source, shots=16, seed=seed) for seed in range(4)}
+    assert all("use of unmeasured result 2" in str(f) for f in faults.values())
+    assert {str(f).split(":")[0] for f in faults.values()} != {"shot 0"}
+
+
+def _cli_json(args):
+    code = "import sys; from qirvm.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, check=True, timeout=120)
+    return done.stdout
+
+
+def test_output_does_not_depend_on_earlier_runs_in_the_process(tmp_path, capsysbinary):
+    from qirvm.cli import main
+
+    teleport, qpe = tmp_path / "teleport.ll", tmp_path / "qpe.ll"
+    teleport.write_text(TELEPORT_LL)
+    qpe.write_text(QPE_LL)
+    runs = [[str(qpe), "--shots", "1024", "--seed", "2"],
+            [str(teleport), "--shots", "2048", "--seed", "5", "--per-shot"],
+            [str(teleport), "--shots", "2048", "--seed", "5", "--per-shot"]]
+    for args in runs:
+        assert main(["run", *args]) == 0
+        in_process = capsysbinary.readouterr().out
+        assert in_process == _cli_json(["run", *args])

@@ -138,3 +138,24 @@ def test_trace_backend_selectable(tmp_path, capsys):
     src = make_program("entry:\n  ret void")
     assert main(["run", write(tmp_path, src), "--shots", "2", "--backend", "trace"]) == EX_OK
     assert json.loads(capsys.readouterr().out)["backend"] == "trace"
+
+
+def test_negative_seed_is_usage_error(teleport_file, capsys):
+    assert main(["run", teleport_file, "--seed", "-1"]) == EX_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_non_integer_qubit_count_is_entry_error(tmp_path, capsys):
+    src = make_program("entry:\n  ret void", attrs='"entry_point" "num_required_qubits"="three"')
+    assert main(["run", write(tmp_path, src)]) == EX_CONFIG
+    assert "num_required_qubits" in capsys.readouterr().err
+
+
+def test_too_many_qubits_is_validation_error(tmp_path, capsys):
+    from qirvm.backends import DEFAULT_MAX_QUBITS
+
+    count = DEFAULT_MAX_QUBITS + 1
+    src = make_program("entry:\n  ret void",
+                       attrs=f'"entry_point" "num_required_qubits"="{count}"')
+    assert main(["run", write(tmp_path, src), "--validate-only"]) == EX_CONFIG
+    assert f"{count} qubits exceeds the maximum" in capsys.readouterr().err
