@@ -7,19 +7,7 @@ from typing import Optional
 
 from .backends import DEFAULT_MAX_QUBITS
 from .errors import AmbiguousEntry, EntryPointError, NoEntry
-from .ir import (
-    BoolVar,
-    Call,
-    CondBranch,
-    DoubleConst,
-    FunctionDef,
-    IntConst,
-    LabelConst,
-    NullPtr,
-    ProgramModule,
-    QubitRef,
-    ResultRef,
-)
+from .ir import Call, FunctionDef, ProgramModule, QubitRef, ResultRef
 from .registry import OpKind, Registry, Unresolved
 
 
@@ -112,39 +100,6 @@ def find_entry(module: ProgramModule, override: Optional[str] = None) -> EntryPo
     return EntryPoint(fn.name, num_qubits, num_results, profile or "")
 
 
-def _expected_operands(spec):
-    """Returns (arg kind pattern, wants result_var) for an OpSpec."""
-    if spec.kind is OpKind.GATE:
-        return ["double"] * spec.num_params + ["qubit"] * spec.num_qubits, False
-    if spec.kind is OpKind.MEASURE:
-        return ["qubit", "result"], False
-    if spec.kind is OpKind.RESET:
-        return ["qubit"], False
-    if spec.kind is OpKind.READ_RESULT:
-        return ["result"], True
-    if spec.kind is OpKind.RECORD_ARRAY:
-        return ["int", "label"], False
-    if spec.kind is OpKind.RECORD_RESULT:
-        return ["result", "label"], False
-    return None, False  # INITIALIZE: arity not checked
-
-
-def _operand_kind(arg) -> str:
-    if isinstance(arg, QubitRef):
-        return "qubit"
-    if isinstance(arg, ResultRef):
-        return "result"
-    if isinstance(arg, DoubleConst):
-        return "double"
-    if isinstance(arg, IntConst):
-        return "int"
-    if isinstance(arg, (LabelConst, NullPtr)):
-        return "label"
-    if isinstance(arg, BoolVar):
-        return "bool"
-    return "?"
-
-
 def validate_profile(
     module: ProgramModule, entry: EntryPoint, registry: Registry
 ) -> list:
@@ -177,23 +132,21 @@ def validate_profile(
                     )
                 continue
 
-            expected, wants_var = _expected_operands(spec)
-            if expected is not None:
-                got = [_operand_kind(a) for a in ins.args]
-                if got != expected:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            f"@{ins.callee} expects ({', '.join(expected)}) "
-                            f"but was called with ({', '.join(got)})",
-                            loc,
-                        )
+            got = tuple(arg.kind for arg in ins.args)
+            if got != spec.operands:
+                diagnostics.append(
+                    Diagnostic(
+                        "error",
+                        f"@{ins.callee} expects ({', '.join(spec.operands)}) "
+                        f"but was called with ({', '.join(got)})",
+                        loc,
                     )
-                    continue
-                if wants_var != (ins.result_var is not None):
-                    diagnostics.append(
-                        Diagnostic("error", f"@{ins.callee} return-binding mismatch", loc)
-                    )
+                )
+                continue
+            if spec.returns_bool != (ins.result_var is not None):
+                diagnostics.append(
+                    Diagnostic("error", f"@{ins.callee} return-binding mismatch", loc)
+                )
 
             for arg in ins.args:
                 if isinstance(arg, QubitRef) and arg.index >= entry.num_qubits:
@@ -215,12 +168,10 @@ def validate_profile(
                         )
                     )
 
-            if spec.kind is OpKind.MEASURE and len(ins.args) == 2:
-                if isinstance(ins.args[1], ResultRef):
-                    measured.add(ins.args[1].index)
-            if spec.kind in (OpKind.READ_RESULT, OpKind.RECORD_RESULT) and ins.args:
-                if isinstance(ins.args[0], ResultRef):
-                    read_results.append((ins.args[0].index, loc))
+            if spec.kind is OpKind.MEASURE:
+                measured.add(ins.args[1].index)
+            if spec.kind in (OpKind.READ_RESULT, OpKind.RECORD_RESULT):
+                read_results.append((ins.args[0].index, loc))
 
     # path-insensitive: only flag results no measurement writes anywhere
     for index, loc in read_results:

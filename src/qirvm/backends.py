@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import RuntimeFault, UnknownBackend
-from .gates import GATE_ARITY, gate_matrix
-from .registry import GateId
+from .gates import gate_matrix
+from .registry import GATE_SHAPES, GateId
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -84,13 +84,12 @@ class StatevectorBackend(BackendInterface):
 
     def apply_gate(self, gate_id: GateId, params, targets):
         self._check_targets(targets)
-        if GATE_ARITY[gate_id] != len(targets):
-            raise RuntimeFault(
-                f"{gate_id.name} acts on {GATE_ARITY[gate_id]} qubit(s), got {len(targets)}"
-            )
+        arity = GATE_SHAPES[gate_id][1]
+        if arity != len(targets):
+            raise RuntimeFault(f"{gate_id.name} acts on {arity} qubit(s), got {len(targets)}")
         if self.amplitudes is not None:
             self.amplitudes = _apply_matrix(
-                self.amplitudes, _cached_matrix(gate_id, tuple(params)), targets, self.n
+                self.amplitudes, gate_matrix(gate_id, params), targets, self.n
             )
 
     def _prob_one(self, qubit: int) -> float:
@@ -130,19 +129,6 @@ class StatevectorBackend(BackendInterface):
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-_MATRIX_CACHE = {}
-
-
-def _cached_matrix(gate_id: GateId, params: tuple) -> np.ndarray:
-    key = (gate_id, params)
-    matrix = _MATRIX_CACHE.get(key)
-    if matrix is None:
-        matrix = gate_matrix(gate_id, params)
-        matrix.setflags(write=False)
-        _MATRIX_CACHE[key] = matrix
-    return matrix
 
 
 # Shot branching.  The gates a shot applies between two measurements depend

@@ -78,13 +78,13 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EX_NOINPUT
 
+    registry = default_registry()
     try:
-        module = parse_module(source)
+        module = parse_module(source, registry)
     except ParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EX_DATAERR
 
-    registry = default_registry()
     try:
         entry = find_entry(module, override=args.entry)
     except EntryPointError as exc:

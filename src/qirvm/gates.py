@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .registry import GateId
+from .registry import GATE_SHAPES, GateId
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -35,17 +35,6 @@ _FIXED = {
     ),
     GateId.CZ: np.diag([1, 1, 1, -1]).astype(complex),
 }
-
-_PARAM_COUNT = {GateId.RX: 1, GateId.RY: 1, GateId.RZ: 1, GateId.RZZ: 1}
-
-GATE_ARITY = {
-    **{g: 1 for g in (GateId.H, GateId.X, GateId.Y, GateId.Z, GateId.S, GateId.SDG,
-                      GateId.SY, GateId.T, GateId.TDG, GateId.RX, GateId.RY, GateId.RZ)},
-    **{g: 2 for g in (GateId.RZZ, GateId.CNOT, GateId.CY, GateId.CZ, GateId.SWAP,
-                      GateId.ZZ, GateId.XX)},
-    GateId.CCNOT: 3,
-}
-
 
 def _rx(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -79,25 +68,25 @@ def _xx_fixed() -> np.ndarray:
     return (np.eye(4) - 1j * xkron).astype(complex) * _SQ2
 
 
+_FIXED[GateId.ZZ] = _rzz(np.pi / 2)
+_FIXED[GateId.XX] = _xx_fixed()
+_FIXED[GateId.CCNOT] = _toffoli()
+for _matrix in _FIXED.values():
+    _matrix.setflags(write=False)  # shared by every caller
+
+_ROTATIONS = {GateId.RX: _rx, GateId.RY: _ry, GateId.RZ: _rz, GateId.RZZ: _rzz}
+
+
 def gate_matrix(gate_id: GateId, params=()) -> np.ndarray:
-    """Return the unitary for a gate; parameterized angles are radians."""
-    expected = _PARAM_COUNT.get(gate_id, 0)
+    """Return the unitary for a gate; parameterized angles are radians.
+
+    Fixed gates return one shared read-only array; rotations a new one.
+    """
+    if gate_id not in GATE_SHAPES:
+        raise ValueError(f"unknown gate {gate_id!r}")
+    expected = GATE_SHAPES[gate_id][0]
     if len(params) != expected:
         raise ValueError(f"{gate_id.name} takes {expected} parameter(s), got {len(params)}")
-    if gate_id in _FIXED:
-        return _FIXED[gate_id].copy()
-    if gate_id is GateId.RX:
-        return _rx(params[0])
-    if gate_id is GateId.RY:
-        return _ry(params[0])
-    if gate_id is GateId.RZ:
-        return _rz(params[0])
-    if gate_id is GateId.RZZ:
-        return _rzz(params[0])
-    if gate_id is GateId.ZZ:
-        return _rzz(np.pi / 2)
-    if gate_id is GateId.XX:
-        return _xx_fixed()
-    if gate_id is GateId.CCNOT:
-        return _toffoli()
-    raise ValueError(f"unknown gate {gate_id!r}")
+    if expected:
+        return _ROTATIONS[gate_id](params[0])
+    return _FIXED[gate_id]

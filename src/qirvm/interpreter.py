@@ -26,7 +26,6 @@ from .ir import (
     DoubleConst,
     IntConst,
     LabelConst,
-    NullPtr,
     ProgramModule,
     QubitRef,
     ResultRef,
@@ -86,8 +85,6 @@ def eval_operand(env: ExecEnv, operand):
         return operand.value
     if isinstance(operand, LabelConst):
         return operand.text
-    if isinstance(operand, NullPtr):
-        return None
     if isinstance(operand, BoolVar):
         if operand.name not in env.ssa:
             raise RuntimeFault(f"use of unbound SSA value {operand.name}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Operands
@@ -19,11 +19,13 @@ from typing import Optional, Union
 @dataclass(frozen=True)
 class QubitRef:
     index: int
+    kind: ClassVar[str] = "qubit"
 
 
 @dataclass(frozen=True)
 class ResultRef:
     index: int
+    kind: ClassVar[str] = "result"
 
 
 @dataclass(frozen=True)
@@ -31,20 +33,21 @@ class IntConst:
     value: int
     width: int = 64
 
+    @property
+    def kind(self) -> str:
+        return f"i{self.width}"
+
 
 @dataclass(frozen=True)
 class DoubleConst:
     value: float
+    kind: ClassVar[str] = "double"
 
 
 @dataclass(frozen=True)
 class BoolVar:
     name: str
-
-
-@dataclass(frozen=True)
-class NullPtr:
-    pass
+    kind: ClassVar[str] = "i1"
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,12 @@ class LabelConst:
     """A string-label argument; ``text`` is None for an ``i8* null`` label."""
 
     text: Optional[str]
+    kind: ClassVar[str] = "label"
 
 
-Operand = Union[QubitRef, ResultRef, IntConst, DoubleConst, BoolVar, NullPtr, LabelConst]
+# Each operand's `kind` is its type name, the same names the parser gives
+# declaration parameters and the registry gives an operation's operands.
+Operand = Union[QubitRef, ResultRef, IntConst, DoubleConst, BoolVar, LabelConst]
 
 # ---------------------------------------------------------------------------
 # Instructions
@@ -229,8 +235,6 @@ def _render_operand(op: Operand, namer: _GlobalNamer) -> str:
         return f"double {_double_text(op.value)}"
     if isinstance(op, BoolVar):
         return f"i1 {op.name}"
-    if isinstance(op, NullPtr):
-        return "i8* null"
     if isinstance(op, LabelConst):
         if op.text is None:
             return "i8* null"

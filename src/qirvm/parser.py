@@ -7,7 +7,9 @@ groups, and module flags.  Anything else (phi, switch, alloca,
 arithmetic, ...) is a hard ParseError rather than a silent skip.
 
 Both typed-pointer (``%Qubit*``) and opaque-pointer (``ptr``) spellings
-are accepted and normalized to the same operand variants.
+are accepted and normalized to the same operand variants: a ``ptr``
+operand takes its kind from the callee's operand signature in the
+registry.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from .ir import (
     IntConst,
     LabelConst,
     ModuleFlag,
-    NullPtr,
     ProgramModule,
     QubitRef,
     ResultRef,
     ReturnVoid,
     TERMINATORS,
 )
+from .registry import Registry, Unresolved, default_registry
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -111,55 +113,38 @@ def parse_double_literal(token: str) -> float:
     return float(token)
 
 
-def _decode_cstring(text: str) -> str:
-    # text is c"...": strip wrapper, decode \XX escapes, drop the NUL terminator
-    body = text[2:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            out.append(int(body[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            out.append(ord(body[i]))
-            i += 1
+_HEX_PAIR_RE = re.compile(r"[0-9A-Fa-f]{2}")
+
+
+def _decode_cstring(tok: Token) -> str:
+    # tok.text is c"...": strip the wrapper, decode \XX escapes, drop the NUL terminator
+    first, *escaped = tok.text[2:-1].split("\\")
+    out = bytearray(first.encode())
+    for part in escaped:
+        if not _HEX_PAIR_RE.match(part):
+            raise ParseError(f"malformed escape \\{part[:2]} in string constant",
+                             tok.line, tok.column)
+        out.append(int(part[:2], 16))
+        out += part[2:].encode()
     if out and out[-1] == 0:
         out = out[:-1]
-    return out.decode()
-
-
-# Positional qubit/result classification for opaque-pointer calls, keyed on
-# the unmangled op name.  "q"=qubit, "r"=result, "l"=label.
-_OPAQUE_SIGNATURES = {
-    "mz": "qr",
-    "m": "qr",
-    "read_result": "r",
-    "result_record_output": "rl",
-    "array_record_output": "il",
-    "initialize": "l",
-}
-
-_QIS_RE = re.compile(r"^__quantum__(?:qis|rt)__([a-z0-9_]+?)(?:__(?:body|adj))?$")
-
-
-def _opaque_slot_kind(callee: str, index: int) -> str:
-    m = _QIS_RE.match(callee)
-    if m:
-        sig = _OPAQUE_SIGNATURES.get(m.group(1))
-        if sig and index < len(sig):
-            return {"q": "qubit", "r": "result", "l": "label", "i": "i64"}[sig[index]]
-    return "qubit"
+    try:
+        return out.decode()
+    except UnicodeDecodeError:
+        raise ParseError("string constant is not valid UTF-8", tok.line, tok.column) from None
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 _POINTER_KINDS = {"Qubit": "qubit", "Result": "result"}
+_PTR_OPERAND_KINDS = ("qubit", "result", "label")
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, registry: Registry):
         self.tokens = _tokenize(source)
+        self.registry = registry
         self.pos = 0
         self.source_name = ""
         self.opaque_types = set()
@@ -168,7 +153,8 @@ class _Parser:
         self.declarations = []
         self.attribute_groups = []
         self.metadata_nodes = {}
-        self.module_flag_refs = []
+        self.module_flag_refs = []  # (node id, token)
+        self.attr_refs = []  # (function name, #N token)
 
     # -- token plumbing
 
@@ -197,6 +183,14 @@ class _Parser:
         if tok.kind == kind and (text is None or tok.text == text):
             return self.next()
         return None
+
+    def integer(self, tok: Token) -> int:
+        if "." in tok.text:
+            self.error(f"expected an integer, found {tok.text!r}", tok)
+        return int(tok.text)
+
+    def expect_int(self) -> int:
+        return self.integer(self.expect("NUMBER"))
 
     # -- top level
 
@@ -237,7 +231,7 @@ class _Parser:
             self.next()  # linkage / unnamed_addr qualifiers
         self.expect("IDENT", "constant")
         self._parse_array_type()
-        payload = _decode_cstring(self.expect("CSTRING").text)
+        payload = _decode_cstring(self.expect("CSTRING"))
         if self.accept("PUNCT", ","):
             self.expect("IDENT", "align")
             self.expect("NUMBER")
@@ -245,7 +239,7 @@ class _Parser:
 
     def _parse_array_type(self) -> int:
         self.expect("PUNCT", "[")
-        n = int(self.expect("NUMBER").text)
+        n = self.expect_int()
         self.expect("IDENT", "x")
         self.expect("IDENT", "i8")
         self.expect("PUNCT", "]")
@@ -288,17 +282,24 @@ class _Parser:
         params = []
         if not self.accept("PUNCT", ")"):
             while True:
-                params.append(self._parse_type())
+                kind = self._parse_type()
+                if kind == "ptr":
+                    kind = self._ptr_kind(name, len(params)) or "ptr"
+                params.append(kind)
                 while self.peek().kind == "IDENT" and self.peek().text in self._PARAM_ATTRS:
                     self.next()
                 if self.accept("PUNCT", ")"):
                     break
                 self.expect("PUNCT", ",")
-        attr = None
+        return FunctionDecl(name, tuple(params), ret, self._parse_attr_ref(name))
+
+    def _parse_attr_ref(self, name: str) -> Optional[int]:
+        """An optional `#N` after a signature; _finish checks group N exists."""
         tok = self.accept("ATTRID")
-        if tok:
-            attr = int(tok.text[1:])
-        return FunctionDecl(name, tuple(params), ret, attr)
+        if tok is None:
+            return None
+        self.attr_refs.append((name, tok))
+        return int(tok.text[1:])
 
     def _parse_attr_group(self):
         self.expect("IDENT", "attributes")
@@ -330,16 +331,16 @@ class _Parser:
             self.expect("PUNCT", "!")
             self.expect("PUNCT", "{")
             while not self.accept("PUNCT", "}"):
-                self.expect("PUNCT", "!")
-                self.module_flag_refs.append(int(self.expect("NUMBER").text))
+                bang = self.expect("PUNCT", "!")
+                self.module_flag_refs.append((self.expect_int(), bang))
                 self.accept("PUNCT", ",")
         elif tok.kind == "NUMBER":
-            node_id = int(tok.text)
+            node_id = self.integer(tok)
             self.expect("PUNCT", "=")
             self.expect("PUNCT", "!")
             self.expect("PUNCT", "{")
             self.expect("IDENT", "i32")
-            behavior = int(self.expect("NUMBER").text)
+            behavior = self.expect_int()
             self.expect("PUNCT", ",")
             self.expect("PUNCT", "!")
             key = self.expect("STRING").text[1:-1]
@@ -348,7 +349,7 @@ class _Parser:
             if ty == "i1":
                 value = self.expect("IDENT").text == "true"
             elif ty in ("i32", "i64"):
-                value = int(self.expect("NUMBER").text)
+                value = self.expect_int()
             else:
                 self.error(f"unsupported module-flag value type {ty!r}")
             self.expect("PUNCT", "}")
@@ -365,12 +366,11 @@ class _Parser:
             self.error("entry functions must return void")
         name_tok = self.expect("GLOBAL")
         name = name_tok.text[1:]
+        if any(f.name == name for f in self.functions):
+            self.error(f"duplicate function name @{name}", name_tok)
         self.expect("PUNCT", "(")
         self.expect("PUNCT", ")")
-        attr = None
-        tok = self.accept("ATTRID")
-        if tok:
-            attr = int(tok.text[1:])
+        attr = self._parse_attr_ref(name)
         self.expect("PUNCT", "{")
 
         blocks = []
@@ -482,10 +482,23 @@ class _Parser:
 
     # -- operands
 
+    def _ptr_kind(self, callee: str, index: int) -> Optional[str]:
+        """The kind the callee's registered signature gives a `ptr` at `index`.
+
+        None when the callee is unregistered, the index is past its
+        signature, or the signature wants a non-pointer there.
+        """
+        spec = self.registry.resolve(callee)
+        if isinstance(spec, Unresolved) or index >= len(spec.operands):
+            return None
+        kind = spec.operands[index]
+        return kind if kind in _PTR_OPERAND_KINDS else None
+
     def _parse_operand(self, callee: str, index: int):
         kind = self._parse_type()
         if kind == "ptr":
-            kind = _opaque_slot_kind(callee, index)
+            # an untyped pointer stays a qubit, which validation then reports
+            kind = self._ptr_kind(callee, index) or "qubit"
         tok = self.peek()
 
         if kind in ("qubit", "result"):
@@ -498,8 +511,6 @@ class _Parser:
 
         if kind == "label":
             if self.accept("IDENT", "null"):
-                if _QIS_RE.match(callee) and _QIS_RE.match(callee).group(1) == "initialize":
-                    return NullPtr()
                 return LabelConst(None)
             if self.accept("IDENT", "getelementptr"):
                 return LabelConst(self._parse_gep(tok))
@@ -508,8 +519,7 @@ class _Parser:
             self.error(f"expected a label constant, found {tok.text!r}", tok)
 
         if kind in ("i64", "i32"):
-            value_tok = self.expect("NUMBER")
-            return IntConst(int(value_tok.text), width=int(kind[1:]))
+            return IntConst(self.expect_int(), width=int(kind[1:]))
 
         if kind == "i1":
             if tok.kind == "LOCAL":
@@ -532,7 +542,7 @@ class _Parser:
     def _parse_inttoptr(self, tok) -> int:
         self.expect("PUNCT", "(")
         self.expect("IDENT", "i64")
-        value = int(self.expect("NUMBER").text)
+        value = self.expect_int()
         if value < 0:
             self.error("negative qubit/result index", tok)
         self.expect("IDENT", "to")
@@ -572,16 +582,16 @@ class _Parser:
     # -- module assembly
 
     def _finish(self) -> ProgramModule:
-        names = [f.name for f in self.functions]
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate function name", self.tokens[-1].line, 1)
+        group_ids = {gid for gid, _ in self.attribute_groups}
+        for name, tok in self.attr_refs:
+            if int(tok.text[1:]) not in group_ids:
+                self.error(f"@{name} references unknown attribute group {tok.text}", tok)
         flags = []
-        for ref in self.module_flag_refs:
-            node = self.metadata_nodes.get(ref)
-            if node is None:
-                raise ParseError(f"module flag references unknown metadata !{ref}")
-            flags.append(node)
-        module = ProgramModule(
+        for ref, tok in self.module_flag_refs:
+            if ref not in self.metadata_nodes:
+                self.error(f"module flag references unknown metadata !{ref}", tok)
+            flags.append(self.metadata_nodes[ref])
+        return ProgramModule(
             source_name=self.source_name,
             opaque_types=frozenset(self.opaque_types),
             globals=tuple(self.globals),
@@ -590,18 +600,13 @@ class _Parser:
             attribute_groups=tuple(self.attribute_groups),
             module_flags=tuple(flags),
         )
-        group_ids = {gid for gid, _ in module.attribute_groups}
-        for fn in module.functions:
-            if fn.attr_group is not None and fn.attr_group not in group_ids:
-                raise ParseError(f"@{fn.name} references unknown attribute group #{fn.attr_group}")
-        for decl in module.declarations:
-            if decl.attr_group is not None and decl.attr_group not in group_ids:
-                raise ParseError(
-                    f"@{decl.name} references unknown attribute group #{decl.attr_group}"
-                )
-        return module
 
 
-def parse_module(source: str) -> ProgramModule:
-    """Parse textual IR into a validated ProgramModule."""
-    return _Parser(source).parse()
+def parse_module(source: str, registry: Optional[Registry] = None) -> ProgramModule:
+    """Parse textual IR into a validated ProgramModule.
+
+    `registry` (default: default_registry()) types opaque `ptr` operands.
+    """
+    if registry is None:
+        registry = default_registry()
+    return _Parser(source, registry).parse()

@@ -3,6 +3,11 @@
 The registry is the dispatch table between parsed call instructions and
 backend operations.  It is built once during setup, optionally extended
 with custom operations, then frozen and shared across shot executors.
+
+It is also the one place that states an operation's operand signature
+(`OpSpec.operands`, from GATE_SHAPES for gates): the parser types opaque
+`ptr` operands by it, the validator checks every call against it, and the
+gate layer and backends take gate arity from GATE_SHAPES.
 """
 
 from __future__ import annotations
@@ -45,19 +50,67 @@ class OpKind(enum.Enum):
     INITIALIZE = "initialize"
 
 
+# GateId -> (num_params, num_qubits): the one statement of each gate's shape.
+# Parameters come first in a call, then the qubits they act on.
+GATE_SHAPES = {
+    **{g: (0, 1) for g in (GateId.H, GateId.X, GateId.Y, GateId.Z, GateId.S, GateId.SDG,
+                           GateId.SY, GateId.T, GateId.TDG)},
+    **{g: (1, 1) for g in (GateId.RX, GateId.RY, GateId.RZ)},
+    GateId.RZZ: (1, 2),
+    **{g: (0, 2) for g in (GateId.CNOT, GateId.CY, GateId.CZ, GateId.SWAP,
+                           GateId.ZZ, GateId.XX)},
+    GateId.CCNOT: (0, 3),
+}
+
+# Operand kinds of every non-gate operation.  Kinds are the IR's type names:
+# qubit, result, label (i8*), double, i64, i32, i1.
+_KIND_OPERANDS = {
+    OpKind.MEASURE: ("qubit", "result"),
+    OpKind.RESET: ("qubit",),
+    OpKind.READ_RESULT: ("result",),
+    OpKind.RECORD_ARRAY: ("i64", "label"),
+    OpKind.RECORD_RESULT: ("result", "label"),
+    OpKind.INITIALIZE: ("label",),
+}
+
+
 @dataclass(frozen=True)
 class OpSpec:
+    """One operation: its kind, its gate if any, and whether it binds an i1.
+
+    `num_qubits` and `num_params` follow from the kind (and, for a gate,
+    from GATE_SHAPES); left out they are filled in, and given values that
+    disagree raise ValueError.
+    """
+
     kind: OpKind
     gate_id: Optional[GateId] = None
-    num_qubits: int = 0
-    num_params: int = 0
+    num_qubits: Optional[int] = None
+    num_params: Optional[int] = None
     returns_bool: bool = False
 
     def __post_init__(self):
         if self.kind is OpKind.GATE:
-            assert self.gate_id is not None
-            assert self.num_qubits in (1, 2, 3)
-            assert self.num_params in (0, 1)
+            if self.gate_id not in GATE_SHAPES:
+                raise ValueError(f"a gate spec needs a GateId, got {self.gate_id!r}")
+            num_params, num_qubits = GATE_SHAPES[self.gate_id]
+        else:
+            operands = _KIND_OPERANDS[self.kind]
+            num_params, num_qubits = operands.count("double"), operands.count("qubit")
+        for name, value in (("num_params", num_params), ("num_qubits", num_qubits)):
+            given = getattr(self, name)
+            if given is None:
+                object.__setattr__(self, name, value)
+            elif given != value:
+                what = self.gate_id.name if self.gate_id is not None else self.kind.value
+                raise ValueError(f"{what} has {name}={value}, got {given}")
+
+    @property
+    def operands(self) -> tuple:
+        """The kind of each call operand, in order."""
+        if self.kind is OpKind.GATE:
+            return ("double",) * self.num_params + ("qubit",) * self.num_qubits
+        return _KIND_OPERANDS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -67,41 +120,37 @@ class Unresolved:
     name: str
 
 
-def _gate(gate_id: GateId, num_qubits: int = 1, num_params: int = 0) -> OpSpec:
-    return OpSpec(OpKind.GATE, gate_id, num_qubits, num_params)
-
-
-# (unmangled name, spec); adjoints get the __adj suffix below.
+# unmangled name -> gate; adjoints get the __adj suffix below.
 _DEFAULT_GATES = {
-    "h": _gate(GateId.H),
-    "x": _gate(GateId.X),
-    "y": _gate(GateId.Y),
-    "z": _gate(GateId.Z),
-    "s": _gate(GateId.S),
-    "t": _gate(GateId.T),
-    "sy": _gate(GateId.SY),
-    "rx": _gate(GateId.RX, num_params=1),
-    "ry": _gate(GateId.RY, num_params=1),
-    "rz": _gate(GateId.RZ, num_params=1),
-    "rzz": _gate(GateId.RZZ, num_qubits=2, num_params=1),
-    "cnot": _gate(GateId.CNOT, num_qubits=2),
-    "cx": _gate(GateId.CNOT, num_qubits=2),
-    "cy": _gate(GateId.CY, num_qubits=2),
-    "cz": _gate(GateId.CZ, num_qubits=2),
-    "ccx": _gate(GateId.CCNOT, num_qubits=3),
-    "ccnot": _gate(GateId.CCNOT, num_qubits=3),
-    "swap": _gate(GateId.SWAP, num_qubits=2),
-    "zz": _gate(GateId.ZZ, num_qubits=2),
-    "xx": _gate(GateId.XX, num_qubits=2),
+    "h": GateId.H,
+    "x": GateId.X,
+    "y": GateId.Y,
+    "z": GateId.Z,
+    "s": GateId.S,
+    "t": GateId.T,
+    "sy": GateId.SY,
+    "rx": GateId.RX,
+    "ry": GateId.RY,
+    "rz": GateId.RZ,
+    "rzz": GateId.RZZ,
+    "cnot": GateId.CNOT,
+    "cx": GateId.CNOT,
+    "cy": GateId.CY,
+    "cz": GateId.CZ,
+    "ccx": GateId.CCNOT,
+    "ccnot": GateId.CCNOT,
+    "swap": GateId.SWAP,
+    "zz": GateId.ZZ,
+    "xx": GateId.XX,
 }
 
 _ADJOINTS = {
-    "s": _gate(GateId.SDG),
-    "t": _gate(GateId.TDG),
+    "s": GateId.SDG,
+    "t": GateId.TDG,
 }
 
-MEASURE_SPEC = OpSpec(OpKind.MEASURE, num_qubits=1)
-RESET_SPEC = OpSpec(OpKind.RESET, num_qubits=1)
+MEASURE_SPEC = OpSpec(OpKind.MEASURE)
+RESET_SPEC = OpSpec(OpKind.RESET)
 READ_RESULT_SPEC = OpSpec(OpKind.READ_RESULT, returns_bool=True)
 
 _RUNTIME = {
@@ -147,10 +196,10 @@ class Registry:
 
 def default_registry() -> Registry:
     reg = Registry()
-    for op, spec in _DEFAULT_GATES.items():
-        reg.register(f"__quantum__qis__{op}__body", spec)
-    for op, spec in _ADJOINTS.items():
-        reg.register(f"__quantum__qis__{op}__adj", spec)
+    for op, gate_id in _DEFAULT_GATES.items():
+        reg.register(f"__quantum__qis__{op}__body", OpSpec(OpKind.GATE, gate_id))
+    for op, gate_id in _ADJOINTS.items():
+        reg.register(f"__quantum__qis__{op}__adj", OpSpec(OpKind.GATE, gate_id))
     reg.register("__quantum__qis__mz__body", MEASURE_SPEC)
     reg.register("__quantum__qis__m__body", MEASURE_SPEC)
     reg.register("__quantum__qis__reset__body", RESET_SPEC)
@@ -158,11 +207,3 @@ def default_registry() -> Registry:
     for name, spec in _RUNTIME.items():
         reg.register(name, spec)
     return reg
-
-
-def register_operation(registry: Registry, name: str, spec: OpSpec) -> bool:
-    return registry.register(name, spec)
-
-
-def resolve(registry: Registry, name: str):
-    return registry.resolve(name)

@@ -159,3 +159,12 @@ def test_too_many_qubits_is_validation_error(tmp_path, capsys):
                        attrs=f'"entry_point" "num_required_qubits"="{count}"')
     assert main(["run", write(tmp_path, src), "--validate-only"]) == EX_CONFIG
     assert f"{count} qubits exceeds the maximum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "constant", [r'[3 x i8] c"\zz"', r'[3 x i8] c"\4"', r'[3 x i8] c"\FF\00"', r'[0.5 x i8] c"r\00"'])
+def test_bad_global_constant_is_a_parse_error(tmp_path, capsys, constant):
+    src = make_program("entry:\n  ret void").replace(
+        "define", f"@0 = internal constant {constant}\n\ndefine", 1)
+    assert main(["run", write(tmp_path, src)]) == EX_DATAERR
+    assert "line 6:" in capsys.readouterr().err

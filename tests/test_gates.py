@@ -93,3 +93,11 @@ def test_wrong_param_count():
         gate_matrix(GateId.RX, ())
     with pytest.raises(ValueError):
         gate_matrix(GateId.H, (0.5,))
+
+
+def test_fixed_matrices_are_shared_and_read_only():
+    h = gate_matrix(GateId.H)
+    assert h is gate_matrix(GateId.H)
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = 0

@@ -186,6 +186,19 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_module(src)
 
+    def test_module_assembly_errors_point_at_the_offending_token(self):
+        src = make_program("entry:\n  ret void")  # 15 lines, `define ... #0 {` on line 6
+        flags = '\n!llvm.module.flags = !{!0, !3}\n!0 = !{i32 1, !"qir_major_version", i32 1}\n'
+        cases = [
+            (src.replace("#0 {", "#7 {"), 6, 21, "#7"),
+            (src + flags, 16, 28, "!3"),
+            (src + "\ndefine void @main() {\nentry:\n  ret void\n}\n", 16, 13, "@main"),
+        ]
+        for text, line, column, what in cases:
+            with pytest.raises(ParseError, match=what) as exc:
+                parse_module(text)
+            assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_block_missing_terminator(self):
         src = make_program(
             "entry:\n  call void @__quantum__qis__h__body(%Qubit* null)",

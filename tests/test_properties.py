@@ -1,13 +1,21 @@
-"""Property-based checks over parsing, aggregation, and sampling."""
+"""Property-based checks over parsing, aggregation, sampling and the CLI."""
 
+import os
+import re
 import struct
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qirvm import ShotRecorder, aggregate, emit_json, parse_json, parse_double_literal
+from qirvm import ShotRecorder, aggregate, emit_json, parse_json, parse_double_literal, parse_module
 from qirvm.backends import qpe_reference_distribution
+from qirvm.cli import main
+from qirvm.ir import render_module
+
+from conftest import TELEPORT_LL
+from test_branching import feed_forward_programs
 
 META = dict(
     program_name="p",
@@ -74,3 +82,66 @@ def test_qpe_reference_distribution_is_normalized(phi, k):
     probs = qpe_reference_distribution(phi, k)
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(feed_forward_programs())
+def test_generated_programs_round_trip_in_both_spellings(source):
+    module = parse_module(source)
+    assert parse_module(render_module(module)) == module
+    assert parse_module(re.sub(r"%(Qubit|Result)\*", "ptr", source)) == module
+
+
+# Teleport without comments, and with result 0 labelled by a global string.
+FUZZ_BASE = re.sub(r";[^\n]*", "", TELEPORT_LL).replace(
+    "%Result = type opaque\n",
+    '%Result = type opaque\n\n@0 = internal constant [3 x i8] c"r0\\00"\n',
+).replace(
+    "(%Result* null, i8* null)",
+    "(%Result* null, i8* getelementptr inbounds ([3 x i8], [3 x i8]* @0, i32 0, i32 0))",
+)
+# Whitespace, strings, words with their sigil, or single characters: joined
+# back together they give the source unchanged.
+PIECE_RE = re.compile(r'\s+|c?"[^"\n]*"|[%@!#]?[\w.$\-]+|\S')
+# No block label is among them, so no mutation can make a loop.
+INSERTS = [
+    "ptr", "null", "i64", "i32", "i1", "i8*", "double", "void", "0", "1", "2", "7", "-1", "0.5",
+    "true", "false", "0x3FF0000000000000", "inttoptr", "to", "(", ")", ",", "*", "%0", "%Qubit*",
+    "%Result*", "#7", "!9", "@0", "@__quantum__rt__initialize", "@__quantum__qis__mz__body",
+    "@__quantum__qis__cnot__body", "@__quantum__qis__read_result__body", "@__quantum__qis__nop__body",
+]
+EXIT_CODES = {0, 64, 65, 66, 70, 73, 78}
+
+
+@st.composite
+def mutated_sources(draw):
+    """Delete, replace or insert tokens, change numbers, or rewrite the string's bytes."""
+    pieces = PIECE_RE.findall(FUZZ_BASE)
+    tokens = [i for i, piece in enumerate(pieces) if not piece.isspace()]
+    numbers = [i for i in tokens if pieces[i].isdigit()]
+    string = pieces.index('c"r0\\00"')
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["delete", "replace", "insert", "number", "string"]))
+        if action == "number":
+            pieces[draw(st.sampled_from(numbers))] = draw(st.sampled_from("012347"))
+        elif action == "string":
+            pieces[string] = 'c"' + draw(st.text("r0F4z\\\xe9\u20ac", max_size=6)) + '"'
+        else:
+            i = draw(st.sampled_from(tokens))
+            insert = draw(st.sampled_from(INSERTS))
+            pieces[i] = {"delete": "", "replace": insert, "insert": f"{pieces[i]} {insert}"}[action]
+    return "".join(pieces)
+
+
+def test_fuzz_pieces_rebuild_the_source():
+    assert "".join(PIECE_RE.findall(FUZZ_BASE)) == FUZZ_BASE != TELEPORT_LL
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_sources())
+def test_cli_ends_every_mutated_program_in_an_exit_code(source):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "prog.ll"), os.path.join(tmp, "out.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        assert main(["run", path, "--shots", "4", "--output", out]) in EXIT_CODES

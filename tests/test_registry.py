@@ -1,7 +1,6 @@
 import pytest
 
 from qirvm import GateId, OpKind, OpSpec, Unresolved, default_registry
-from qirvm.registry import register_operation, resolve
 
 # the complete default name set, enumerated independently of the builder
 EXPECTED_NAMES = (
@@ -79,9 +78,9 @@ def test_unresolved_carries_name():
 def test_register_then_resolve():
     reg = default_registry()
     spec = OpSpec(OpKind.GATE, GateId.RZ, num_qubits=1, num_params=1)
-    replaced = register_operation(reg, "__quantum__qis__mygate__body", spec)
+    replaced = reg.register("__quantum__qis__mygate__body", spec)
     assert replaced is False
-    assert resolve(reg, "__quantum__qis__mygate__body") == spec
+    assert reg.resolve("__quantum__qis__mygate__body") == spec
 
 
 def test_overwrite_reports_replacement():
