@@ -27,7 +27,7 @@ from .errors import (
     UnknownBackend,
 )
 from .gates import gate_matrix
-from .interpreter import RunConfig, execute_shot, run_program, shot_rng
+from .interpreter import RunConfig, compile_program, execute_shot, run_program, shot_rng
 from .parser import parse_double_literal, parse_module
 from .recorder import RunResult, ShotRecorder, aggregate, emit_json, parse_json
 from .registry import GateId, OpKind, OpSpec, Registry, Unresolved, default_registry
@@ -54,6 +54,7 @@ __all__ = [
     "Unresolved",
     "aggregate",
     "available_backends",
+    "compile_program",
     "create_backend",
     "default_registry",
     "emit_json",

@@ -8,7 +8,7 @@ from typing import Optional
 from .backends import DEFAULT_MAX_QUBITS
 from .errors import AmbiguousEntry, EntryPointError, NoEntry
 from .ir import Call, FunctionDef, ProgramModule, QubitRef, ResultRef
-from .registry import OpKind, Registry, Unresolved
+from .registry import OpKind, OpSpec, Registry, Unresolved
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,15 @@ def find_entry(module: ProgramModule, override: Optional[str] = None) -> EntryPo
     return EntryPoint(fn.name, num_qubits, num_results, profile or "")
 
 
+def operand_mismatch(call: Call, spec: OpSpec) -> Optional[str]:
+    """Why the kinds of `call`'s operands differ from `spec.operands`, or None."""
+    got = tuple(arg.kind for arg in call.args)
+    if got == spec.operands:
+        return None
+    return (f"@{call.callee} expects ({', '.join(spec.operands)}) "
+            f"but was called with ({', '.join(got)})")
+
+
 def validate_profile(
     module: ProgramModule, entry: EntryPoint, registry: Registry
 ) -> list:
@@ -132,16 +141,9 @@ def validate_profile(
                     )
                 continue
 
-            got = tuple(arg.kind for arg in ins.args)
-            if got != spec.operands:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"@{ins.callee} expects ({', '.join(spec.operands)}) "
-                        f"but was called with ({', '.join(got)})",
-                        loc,
-                    )
-                )
+            mismatch = operand_mismatch(ins, spec)
+            if mismatch is not None:
+                diagnostics.append(Diagnostic("error", mismatch, loc))
                 continue
             if spec.returns_bool != (ins.result_var is not None):
                 diagnostics.append(

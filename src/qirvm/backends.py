@@ -291,14 +291,14 @@ def available_backends():
     return sorted(_BACKENDS)
 
 
-def create_backend(choice: str, **options) -> BackendInterface:
+def create_backend(choice: str) -> BackendInterface:
     """Instantiate a fresh backend by registered name."""
     factory = _BACKENDS.get(choice)
     if factory is None:
         raise UnknownBackend(
             f"unknown backend {choice!r}; available: {', '.join(available_backends())}"
         )
-    return factory(**options)
+    return factory()
 
 
 def qpe_reference_distribution(phi: float, k: int) -> np.ndarray:

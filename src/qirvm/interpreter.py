@@ -1,8 +1,9 @@
 """Shot-by-shot execution of the entry function.
 
-Shot counts live outside the program, so each shot is the entry function
-run with a fresh backend state, a fresh SSA environment, and an RNG stream
-derived deterministically from (seed, shot_index).  Shots are therefore
+A run compiles the entry function once (compile_program) and executes
+the compiled Program once per shot, with a fresh backend state, a fresh
+SSA environment, and an RNG stream derived deterministically from
+(seed, shot_index).  Shots are therefore
 order-independent: a shot whose outcome history an earlier shot already
 ran reuses that work (see OutcomeTrie) and gets the same output it would
 have computed itself.
@@ -10,12 +11,12 @@ have computed itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import EntryPoint
+from .analyze import EntryPoint, operand_mismatch
 from .backends import BackendInterface, OutcomeTrie, ShotPath, create_backend
 from .errors import RuntimeFault
 from .ir import (
@@ -23,13 +24,10 @@ from .ir import (
     Branch,
     Call,
     CondBranch,
-    DoubleConst,
-    IntConst,
     LabelConst,
     ProgramModule,
     QubitRef,
     ResultRef,
-    ReturnVoid,
 )
 from .recorder import Histogram, RunResult, ShotOutput, ShotRecorder
 from .recorder import aggregate  # noqa: F401  (public name of this module too)
@@ -49,7 +47,6 @@ class RunConfig:
     seed: int = 0
     backend_choice: str = "statevector"
     step_limit: int = DEFAULT_STEP_LIMIT
-    output_path: Optional[str] = None
     per_shot: bool = False
 
     def __post_init__(self):
@@ -57,148 +54,141 @@ class RunConfig:
             raise ValueError("shots must be at least 1")
 
 
-@dataclass
-class ExecEnv:
-    num_results: int
-    ssa: dict = field(default_factory=dict)
-    result_bits: list = None
-    step_count: int = 0
-
-    def __post_init__(self):
-        if self.result_bits is None:
-            self.result_bits = [None] * self.num_results
-
-    def bind(self, name: str, value: bool):
-        if name in self.ssa:
-            raise RuntimeFault(f"SSA value {name} written twice in one shot")
-        self.ssa[name] = value
-
-
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, shot_index]))
 
 
-def eval_operand(env: ExecEnv, operand):
+class Control(enum.Enum):
+    """Step codes other than an operation's OpKind."""
+
+    JUMP = "jump"  # (JUMP, block index)
+    BRANCH = "branch"  # (BRANCH, SSA name, then block index, else block index)
+    RETURN = "return"  # (RETURN,)
+    FAULT = "fault"  # (FAULT, message): raised when a shot reaches it
+
+
+@dataclass(frozen=True)
+class Program:
+    """The entry function compiled for one run; block 0 is the entry block.
+
+    `blocks[i]` holds one step per instruction of block i.  A call step is
+    its operation's OpKind followed by constant operand values:
+    (GATE, gate_id, params, targets), (MEASURE, qubit, result),
+    (RESET, qubit), (READ_RESULT, result, SSA name),
+    (RECORD_ARRAY, length, label), (RECORD_RESULT, result, label) or
+    (INITIALIZE, label).  Other steps are Control codes.
+    """
+
+    blocks: tuple
+    num_results: int
+
+
+def _value(operand):
+    """The constant a signature-checked call operand stands for."""
     if isinstance(operand, (QubitRef, ResultRef)):
         return operand.index
-    if isinstance(operand, (IntConst, DoubleConst)):
-        return operand.value
     if isinstance(operand, LabelConst):
         return operand.text
-    if isinstance(operand, BoolVar):
-        if operand.name not in env.ssa:
-            raise RuntimeFault(f"use of unbound SSA value {operand.name}")
-        return env.ssa[operand.name]
-    raise RuntimeFault(f"cannot evaluate operand {operand!r}")
+    return operand.value  # IntConst or DoubleConst
 
 
-def _result_bit(env: ExecEnv, index: int) -> int:
-    if index >= len(env.result_bits):
+def _call_step(call: Call, registry: Registry) -> tuple:
+    spec = registry.resolve(call.callee)
+    if isinstance(spec, Unresolved):
+        return (Control.FAULT, f"call to unresolved function @{call.callee}")
+    mismatch = operand_mismatch(call, spec)
+    if mismatch is not None:
+        return (Control.FAULT, mismatch)
+    vals = tuple(_value(arg) for arg in call.args)
+    if spec.kind is OpKind.GATE:
+        return (OpKind.GATE, spec.gate_id, vals[: spec.num_params], vals[spec.num_params :])
+    if spec.kind is OpKind.READ_RESULT:
+        return (OpKind.READ_RESULT, vals[0], call.result_var)
+    return (spec.kind, *vals)
+
+
+def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry) -> Program:
+    """Resolve the entry function's calls and branch targets once per run.
+
+    Call operands in the base profile are constants (only branch conditions
+    read SSA values), so each call's OpSpec and operand values are fixed
+    here.  A call that cannot run -- an unresolved callee, or operands that
+    do not fit its signature, such as an SSA value -- becomes a FAULT step,
+    raised only when a shot reaches it.
+    """
+    fn = module.function(entry.function_name)
+    index = {block.label: i for i, block in enumerate(fn.blocks)}
+
+    def step(ins) -> tuple:
+        if isinstance(ins, Call):
+            return _call_step(ins, registry)
+        if isinstance(ins, Branch):
+            return (Control.JUMP, index[ins.target_label])
+        if isinstance(ins, CondBranch):
+            if isinstance(ins.cond, BoolVar):
+                return (Control.BRANCH, ins.cond.name,
+                        index[ins.then_label], index[ins.else_label])
+            return (Control.JUMP, index[ins.then_label if ins.cond.value else ins.else_label])
+        return (Control.RETURN,)  # ReturnVoid, the one other instruction
+
+    blocks = tuple(tuple(step(ins) for ins in block.instructions) for block in fn.blocks)
+    return Program(blocks, entry.num_results)
+
+
+def _result_bit(bits: list, index: int) -> int:
+    if index >= len(bits):
         raise RuntimeFault(f"result index {index} out of range")
-    bit = env.result_bits[index]
+    bit = bits[index]
     if bit is None:
         raise RuntimeFault(f"use of unmeasured result {index}")
     return bit
 
 
-def _dispatch_call(ins: Call, spec, vals, env: ExecEnv, backend, recorder):
-    kind = spec.kind
-    if kind is OpKind.GATE:
-        backend.apply_gate(
-            spec.gate_id, vals[: spec.num_params], vals[spec.num_params :]
-        )
-    elif kind is OpKind.MEASURE:
-        qubit, result = vals
-        if result >= len(env.result_bits):
-            raise RuntimeFault(f"result index {result} out of range")
-        env.result_bits[result] = backend.measure(qubit)
-    elif kind is OpKind.RESET:
-        backend.reset(vals[0])
-    elif kind is OpKind.READ_RESULT:
-        bit = _result_bit(env, vals[0])
-        env.bind(ins.result_var, bool(bit))
-    elif kind is OpKind.RECORD_ARRAY:
-        label = vals[1] if len(vals) > 1 else None
-        recorder.record_array(vals[0], label)
-    elif kind is OpKind.RECORD_RESULT:
-        bit = _result_bit(env, vals[0])
-        label = vals[1] if len(vals) > 1 else None
-        recorder.record_result(bit, label)
-    elif kind is OpKind.INITIALIZE:
-        pass
-    else:
-        raise RuntimeFault(f"unhandled operation kind {spec.kind!r}")
-
-
-def _compile_calls(fn, registry: Registry) -> dict:
-    """Pre-resolve each call's op spec and constant operands, keyed by id().
-
-    Call operands in the base-profile subset are always constants (only
-    branch conditions reference SSA values), so evaluating them once per
-    run instead of once per shot is sound.  Calls that cannot be prepared
-    here (unresolved names, non-constant operands) are left out and fault
-    or evaluate lazily at execution time.
-    """
-    plan = {}
-    for block in fn.blocks:
-        for ins in block.instructions:
-            if not isinstance(ins, Call):
-                continue
-            spec = registry.resolve(ins.callee)
-            if isinstance(spec, Unresolved):
-                continue
-            if any(isinstance(a, BoolVar) for a in ins.args):
-                continue
-            plan[id(ins)] = (spec, tuple(eval_operand(None, a) for a in ins.args))
-    return plan
-
-
 def execute_shot(
-    module: ProgramModule,
-    entry: EntryPoint,
-    registry: Registry,
+    program: Program,
     backend: BackendInterface,
     recorder: ShotRecorder,
-    rng: Optional[np.random.Generator] = None,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    plan: Optional[dict] = None,
 ) -> ShotOutput:
-    """Run the entry function once; backend must already be allocated."""
-    fn = module.function(entry.function_name)
-    if plan is None:
-        plan = _compile_calls(fn, registry)
-    env = ExecEnv(num_results=entry.num_results)
-    block = fn.blocks[0]
-    cursor = 0
-
-    while True:
-        env.step_count += 1
-        if env.step_count > step_limit:
-            raise RuntimeFault(f"step limit of {step_limit} exceeded")
-        ins = block.instructions[cursor]
-
-        if isinstance(ins, Call):
-            prepared = plan.get(id(ins))
-            if prepared is None:
-                spec = registry.resolve(ins.callee)
-                if isinstance(spec, Unresolved):
-                    raise RuntimeFault(f"call to unresolved function @{ins.callee}")
-                vals = tuple(eval_operand(env, a) for a in ins.args)
-            else:
-                spec, vals = prepared
-            _dispatch_call(ins, spec, vals, env, backend, recorder)
-            cursor += 1
-        elif isinstance(ins, Branch):
-            block = fn.block(ins.target_label)
-            cursor = 0
-        elif isinstance(ins, CondBranch):
-            cond = eval_operand(env, ins.cond)
-            block = fn.block(ins.then_label if cond else ins.else_label)
-            cursor = 0
-        elif isinstance(ins, ReturnVoid):
+    """Run `program` once; backend must already be allocated."""
+    ssa = {}
+    bits = [None] * program.num_results
+    steps, cursor = program.blocks[0], 0
+    for _ in range(step_limit):
+        code, *args = steps[cursor]
+        cursor += 1
+        if code is OpKind.GATE:
+            backend.apply_gate(*args)
+        elif code is OpKind.MEASURE:
+            qubit, result = args
+            if result >= len(bits):
+                raise RuntimeFault(f"result index {result} out of range")
+            bits[result] = backend.measure(qubit)
+        elif code is OpKind.RESET:
+            backend.reset(args[0])
+        elif code is OpKind.READ_RESULT:
+            result, name = args
+            if name in ssa:
+                raise RuntimeFault(f"SSA value {name} written twice in one shot")
+            ssa[name] = bool(_result_bit(bits, result))
+        elif code is OpKind.RECORD_ARRAY:
+            recorder.record_array(*args)
+        elif code is OpKind.RECORD_RESULT:
+            result, label = args
+            recorder.record_result(_result_bit(bits, result), label)
+        elif code is Control.JUMP:
+            steps, cursor = program.blocks[args[0]], 0
+        elif code is Control.BRANCH:
+            name, then_index, else_index = args
+            if name not in ssa:
+                raise RuntimeFault(f"use of unbound SSA value {name}")
+            steps, cursor = program.blocks[then_index if ssa[name] else else_index], 0
+        elif code is Control.RETURN:
             return recorder.finalize()
-        else:
-            raise RuntimeFault(f"unexecutable instruction {ins!r}")
+        elif code is Control.FAULT:
+            raise RuntimeFault(args[0])
+        # OpKind.INITIALIZE does nothing
+    raise RuntimeFault(f"step limit of {step_limit} exceeded")
 
 
 def run_program(
@@ -213,7 +203,7 @@ def run_program(
     already in it takes the recorded output without running; any other
     runs here and extends the trie.  Outputs stream into the histogram.
     """
-    plan = _compile_calls(module.function(entry.function_name), registry)
+    program = compile_program(module, entry, registry)
     trie = OutcomeTrie()
     histogram = Histogram(keep_per_shot=config.per_shot)
     for shot_index in range(config.shots):
@@ -223,10 +213,8 @@ def run_program(
             backend = create_backend(config.backend_choice)
             backend.allocate(entry.num_qubits, path=path)
             try:
-                output = execute_shot(
-                    module, entry, registry, backend, ShotRecorder(),
-                    step_limit=config.step_limit, plan=plan,
-                )
+                output = execute_shot(program, backend, ShotRecorder(),
+                                      step_limit=config.step_limit)
             except RuntimeFault as fault:
                 raise RuntimeFault(f"shot {shot_index}: {fault}") from fault
             path.seal(output)

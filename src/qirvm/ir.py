@@ -117,12 +117,6 @@ class FunctionDef:
     blocks: tuple
     attr_group: Optional[int] = None
 
-    def block(self, label: str) -> BasicBlock:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class FunctionDecl:
@@ -167,22 +161,10 @@ class ProgramModule:
                 return f
         raise KeyError(name)
 
-    def declaration(self, name: str) -> Optional[FunctionDecl]:
-        for d in self.declarations:
-            if d.name == name:
-                return d
-        return None
-
     def attr_group(self, group_id: int) -> Optional[AttrGroup]:
         for gid, grp in self.attribute_groups:
             if gid == group_id:
                 return grp
-        return None
-
-    def global_text(self, name: str) -> Optional[str]:
-        for gname, payload in self.globals:
-            if gname == name:
-                return payload
         return None
 
 

@@ -116,8 +116,8 @@ def parse_double_literal(token: str) -> float:
 _HEX_PAIR_RE = re.compile(r"[0-9A-Fa-f]{2}")
 
 
-def _decode_cstring(tok: Token) -> str:
-    # tok.text is c"...": strip the wrapper, decode \XX escapes, drop the NUL terminator
+def _decode_cstring(tok: Token) -> tuple:
+    """(text, byte count) of a c"..." token; the text drops one NUL terminator."""
     first, *escaped = tok.text[2:-1].split("\\")
     out = bytearray(first.encode())
     for part in escaped:
@@ -126,10 +126,11 @@ def _decode_cstring(tok: Token) -> str:
                              tok.line, tok.column)
         out.append(int(part[:2], 16))
         out += part[2:].encode()
+    size = len(out)
     if out and out[-1] == 0:
         out = out[:-1]
     try:
-        return out.decode()
+        return out.decode(), size
     except UnicodeDecodeError:
         raise ParseError("string constant is not valid UTF-8", tok.line, tok.column) from None
 
@@ -148,7 +149,7 @@ class _Parser:
         self.pos = 0
         self.source_name = ""
         self.opaque_types = set()
-        self.globals = []
+        self.globals = []  # (name, text, byte count)
         self.functions = []
         self.declarations = []
         self.attribute_groups = []
@@ -230,20 +231,27 @@ class _Parser:
         while self.peek().kind == "IDENT" and self.peek().text != "constant":
             self.next()  # linkage / unnamed_addr qualifiers
         self.expect("IDENT", "constant")
-        self._parse_array_type()
-        payload = _decode_cstring(self.expect("CSTRING"))
+        array_type = self._parse_array_type()
+        payload, size = _decode_cstring(self.expect("CSTRING"))
+        self._check_array_size(array_type, size)
         if self.accept("PUNCT", ","):
             self.expect("IDENT", "align")
             self.expect("NUMBER")
-        self.globals.append((name_tok.text[1:], payload))
+        self.globals.append((name_tok.text[1:], payload, size))
 
-    def _parse_array_type(self) -> int:
-        self.expect("PUNCT", "[")
+    def _parse_array_type(self) -> tuple:
+        """An `[N x i8]` type as (its `[` token, N)."""
+        tok = self.expect("PUNCT", "[")
         n = self.expect_int()
         self.expect("IDENT", "x")
         self.expect("IDENT", "i8")
         self.expect("PUNCT", "]")
-        return n
+        return tok, n
+
+    def _check_array_size(self, array_type: tuple, size: int):
+        tok, n = array_type
+        if n != size:
+            self.error(f"[{n} x i8] does not match the {size}-byte string", tok)
 
     # -- types
 
@@ -515,7 +523,7 @@ class _Parser:
             if self.accept("IDENT", "getelementptr"):
                 return LabelConst(self._parse_gep(tok))
             if tok.kind == "GLOBAL":
-                return LabelConst(self._lookup_global(self.next()))
+                return LabelConst(self._lookup_global(self.next())[0])
             self.error(f"expected a label constant, found {tok.text!r}", tok)
 
         if kind in ("i64", "i32"):
@@ -556,27 +564,33 @@ class _Parser:
         return value
 
     def _parse_gep(self, tok) -> str:
+        """`([N x i8], [N x i8]* @g, i32 0, i32 0)`; the base may be `ptr @g`
+        and the indices i64."""
         self.accept("IDENT", "inbounds")
         self.expect("PUNCT", "(")
-        self._parse_array_type()
+        array_types = [self._parse_array_type()]
         self.expect("PUNCT", ",")
-        self._parse_array_type()
-        self.expect("PUNCT", "*")
-        text = self._lookup_global(self.expect("GLOBAL"))
-        self.expect("PUNCT", ",")
-        self.expect("IDENT", "i32")
-        self.expect("NUMBER")
-        self.expect("PUNCT", ",")
-        self.expect("IDENT", "i32")
-        self.expect("NUMBER")
+        if not self.accept("IDENT", "ptr"):
+            array_types.append(self._parse_array_type())
+            self.expect("PUNCT", "*")
+        text, size = self._lookup_global(self.expect("GLOBAL"))
+        for array_type in array_types:
+            self._check_array_size(array_type, size)
+        for _ in range(2):
+            self.expect("PUNCT", ",")
+            index_type = self.expect("IDENT")
+            if index_type.text not in ("i32", "i64"):
+                self.error(f"expected 'i32' or 'i64', found {index_type.text!r}", index_type)
+            self.expect("NUMBER")
         self.expect("PUNCT", ")")
         return text
 
-    def _lookup_global(self, tok) -> str:
+    def _lookup_global(self, tok) -> tuple:
+        """The (text, byte count) of the global `tok` names."""
         name = tok.text[1:]
-        for gname, payload in self.globals:
+        for gname, payload, size in self.globals:
             if gname == name:
-                return payload
+                return payload, size
         self.error(f"reference to unknown global @{name}", tok)
 
     # -- module assembly
@@ -594,7 +608,7 @@ class _Parser:
         return ProgramModule(
             source_name=self.source_name,
             opaque_types=frozenset(self.opaque_types),
-            globals=tuple(self.globals),
+            globals=tuple((name, payload) for name, payload, _ in self.globals),
             functions=tuple(self.functions),
             declarations=tuple(self.declarations),
             attribute_groups=tuple(self.attribute_groups),

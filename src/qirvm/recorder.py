@@ -14,7 +14,6 @@ JSON_SCHEMA_ID = "qirvm-result/1"
 @dataclass
 class ShotOutput:
     bitstring: str
-    raw_bits: tuple
     labels: tuple = ()
 
 
@@ -39,9 +38,8 @@ class ShotRecorder:
                 f"array header declared {self.declared_len} results "
                 f"but {len(self.entries)} were recorded"
             )
-        bits = tuple(bit for bit, _ in self.entries)
-        labels = tuple(label for _, label in self.entries)
-        return ShotOutput("".join(str(b) for b in bits), bits, labels)
+        bitstring = "".join(str(bit) for bit, _ in self.entries)
+        return ShotOutput(bitstring, tuple(label for _, label in self.entries))
 
 
 @dataclass

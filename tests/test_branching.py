@@ -23,6 +23,7 @@ from qirvm import (
     ShotRecorder,
     StatevectorBackend,
     aggregate,
+    compile_program,
     default_registry,
     emit_json,
     execute_shot,
@@ -111,13 +112,13 @@ def program(lines, num_qubits, recorded, num_results):
 
 def reference(module, entry, shots, seed, step_limit=10 ** 7):
     """Plain per-shot loop: JSON text, or the fault run_program must raise."""
-    registry = default_registry()
+    compiled = compile_program(module, entry, default_registry())
     outputs = []
     for shot_index in range(shots):
         backend = StatevectorBackend()
         backend.allocate(entry.num_qubits, rng=shot_rng(seed, shot_index))
         try:
-            outputs.append(execute_shot(module, entry, registry, backend, ShotRecorder(),
+            outputs.append(execute_shot(compiled, backend, ShotRecorder(),
                                         step_limit=step_limit))
         except RuntimeFault as fault:
             return RuntimeFault(f"shot {shot_index}: {fault}")
@@ -224,7 +225,7 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
 
     module = parse_module(source)
     entry = find_entry(module)
-    registry = default_registry()
+    compiled = compile_program(module, entry, default_registry())
     trie = OutcomeTrie()
     walked = 0
     for shot_index in range(8):
@@ -234,7 +235,7 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
             backend.allocate(n, path=path)
             assert path.start is None and backend.amplitudes[0] == 1.0
             walked += bool(path.walk)
-            path.seal(execute_shot(module, entry, registry, backend, ShotRecorder()))
+            path.seal(execute_shot(compiled, backend, ShotRecorder()))
     assert trie.nodes > 0 and trie.stored_amplitudes == 0
     assert walked > 0  # some misses replayed a walk without a stored state
 

@@ -162,9 +162,23 @@ def test_too_many_qubits_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "constant", [r'[3 x i8] c"\zz"', r'[3 x i8] c"\4"', r'[3 x i8] c"\FF\00"', r'[0.5 x i8] c"r\00"'])
+    "constant", [r'[3 x i8] c"\zz"', r'[3 x i8] c"\4"', r'[3 x i8] c"\FF\00"', r'[0.5 x i8] c"r\00"',
+                 r'[9 x i8] c"r0\00"', r'[2 x i8] c"r0\00"'])
 def test_bad_global_constant_is_a_parse_error(tmp_path, capsys, constant):
     src = make_program("entry:\n  ret void").replace(
         "define", f"@0 = internal constant {constant}\n\ndefine", 1)
     assert main(["run", write(tmp_path, src)]) == EX_DATAERR
     assert "line 6:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("array_types", ["[7 x i8], [7 x i8]*", "[3 x i8], [7 x i8]*", "[7 x i8], ptr"])
+def test_gep_array_length_must_match_global(tmp_path, capsys, array_types):
+    call = ("  call void @__quantum__rt__result_record_output(%Result* null, "
+            f"i8* getelementptr inbounds ({array_types} @0, i32 0, i32 0))")
+    src = make_program(
+        f"entry:\n{call}\n  ret void",
+        declarations="declare void @__quantum__rt__result_record_output(%Result*, i8*)",
+    ).replace("define", '@0 = internal constant [3 x i8] c"r0\\00"\n\ndefine', 1)
+    assert main(["run", write(tmp_path, src)]) == EX_DATAERR
+    where = f"line 10:{call.index('[7') + 1}"
+    assert f"{where}: [7 x i8] does not match the 3-byte string" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from qirvm import (
     ShotRecorder,
     StatevectorBackend,
     TraceBackend,
+    compile_program,
     default_registry,
     emit_json,
     execute_shot,
@@ -14,9 +15,8 @@ from qirvm import (
     parse_module,
     run_program,
     shot_rng,
+    validate_profile,
 )
-from qirvm.interpreter import ExecEnv, eval_operand
-from qirvm.ir import BoolVar, DoubleConst, IntConst, LabelConst, QubitRef, ResultRef
 
 from conftest import make_program
 
@@ -135,7 +135,8 @@ def test_teleport_executes_10_to_12_qis_calls_per_shot(teleport_module, teleport
     for bits, expected_qis_calls in [((0, 0), 11), ((1, 0), 12), ((0, 1), 12), ((1, 1), 13)]:
         backend = TraceBackend(measure_bits=list(bits))
         backend.allocate(teleport_entry.num_qubits)
-        execute_shot(teleport_module, teleport_entry, default_registry(), backend, ShotRecorder())
+        execute_shot(compile_program(teleport_module, teleport_entry, default_registry()),
+                     backend, ShotRecorder())
         assert len(backend.log) + 2 == expected_qis_calls
 
 
@@ -143,35 +144,81 @@ def test_teleport_forced_bits_give_expected_bitstring(teleport_module, teleport_
     backend = TraceBackend(measure_bits=[1, 0, 0])
     backend.allocate(teleport_entry.num_qubits)
     out = execute_shot(
-        teleport_module, teleport_entry, default_registry(), backend, ShotRecorder()
+        compile_program(teleport_module, teleport_entry, default_registry()),
+        backend, ShotRecorder(),
     )
     assert out.bitstring == "100"
 
 
-def test_ssa_write_once_enforced():
-    env = ExecEnv(num_results=1)
-    env.bind("%0", True)
-    with pytest.raises(RuntimeFault):
-        env.bind("%0", False)
+def test_ssa_value_bound_twice_in_one_shot_faults():
+    src = make_program(
+        "entry:\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+        "  br label %loop\n"
+        "loop:\n"
+        "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
+        "  br i1 %0, label %loop, label %loop",
+        declarations=MEASURE_DECLS,
+        attrs=ENTRY_1Q,
+    )
+    with pytest.raises(RuntimeFault, match=r"^shot 0: SSA value %0 written twice in one shot$"):
+        run(src, shots=1)
 
 
-class TestEvalOperand:
-    def test_refs_and_consts(self):
-        env = ExecEnv(num_results=0)
-        assert eval_operand(env, QubitRef(2)) == 2
-        assert eval_operand(env, ResultRef(1)) == 1
-        assert eval_operand(env, IntConst(7)) == 7
-        assert eval_operand(env, DoubleConst(0.5)) == 0.5
-        assert eval_operand(env, LabelConst("r0")) == "r0"
+def test_branch_on_unbound_ssa_value_faults():
+    src = make_program(
+        "entry:\n  br i1 %7, label %a, label %a\na:\n  ret void",
+        attrs=ENTRY_1Q,
+    )
+    with pytest.raises(RuntimeFault, match=r"^shot 0: use of unbound SSA value %7$"):
+        run(src, shots=1)
 
-    def test_bound_bool(self):
-        env = ExecEnv(num_results=0)
-        env.bind("%0", True)
-        assert eval_operand(env, BoolVar("%0")) is True
 
-    def test_unbound_bool_faults(self):
-        with pytest.raises(RuntimeFault, match="%9"):
-            eval_operand(ExecEnv(num_results=0), BoolVar("%9"))
+def branch_program(then_call):
+    """Measure |+>, run `then_call` only when the outcome is 1, record the bit."""
+    return make_program(
+        "entry:\n"
+        "  call void @__quantum__qis__h__body(%Qubit* null)\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+        "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
+        "  br i1 %0, label %then, label %done\n"
+        "then:\n"
+        f"  {then_call}\n"
+        "  br label %done\n"
+        "done:\n"
+        "  call void @__quantum__rt__result_record_output(%Result* null, i8* null)\n"
+        "  ret void",
+        declarations=MEASURE_DECLS,
+        attrs='"entry_point" "num_required_qubits"="2" "num_required_results"="1"',
+    )
+
+
+def first_then_shot(seed, shots=16):
+    outcomes = run(branch_program("call void @__quantum__qis__x__body(%Qubit* null)"),
+                   shots=shots, seed=seed, per_shot=True).per_shot
+    return outcomes.index("1")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_call_with_ssa_operand_faults_when_reached(seed):
+    # at qubit count 2 the boolean would silently address qubit 1
+    src = branch_program("call void @__quantum__qis__x__body(i1 %0)")
+    message = "@__quantum__qis__x__body expects (qubit) but was called with (i1)"
+    module = parse_module(src)
+    diagnostics = validate_profile(module, find_entry(module), default_registry())
+    assert [(d.severity, d.message) for d in diagnostics] == [("error", message)]
+    with pytest.raises(RuntimeFault) as fault:
+        run(src, shots=16, seed=seed)
+    assert str(fault.value) == f"shot {first_then_shot(seed)}: {message}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unresolved_call_faults_at_lowest_shot_taking_its_branch(seed):
+    src = branch_program("call void @__quantum__qis__nope__body(%Qubit* null)")
+    message = "call to unresolved function @__quantum__qis__nope__body"
+    with pytest.raises(RuntimeFault) as fault:
+        run(src, shots=16, seed=seed)
+    assert str(fault.value) == f"shot {first_then_shot(seed)}: {message}"
 
 
 def test_branch_soundness_on_crafted_program():
@@ -197,7 +244,7 @@ def test_branch_soundness_on_crafted_program():
     for bit, gate in [(1, "x"), (0, "h")]:
         backend = TraceBackend(measure_bits=[bit])
         backend.allocate(1)
-        execute_shot(module, entry, default_registry(), backend, ShotRecorder())
+        execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder())
         assert backend.log[-1][0] == gate
 
 
@@ -205,7 +252,8 @@ def test_statevector_backend_through_interpreter(teleport_module, teleport_entry
     backend = StatevectorBackend()
     backend.allocate(teleport_entry.num_qubits, rng=np.random.default_rng(0))
     out = execute_shot(
-        teleport_module, teleport_entry, default_registry(), backend, ShotRecorder()
+        compile_program(teleport_module, teleport_entry, default_registry()),
+        backend, ShotRecorder(),
     )
     assert len(out.bitstring) == 3
     assert out.bitstring[2] == "0"  # teleported |0> always measures 0

@@ -118,6 +118,12 @@ attributes #0 = { "entry_point" }
     module = parse_module(src)
     call = module.functions[0].blocks[0].instructions[0]
     assert call.args == (ResultRef(0), LabelConst("r0"))
+    # the other spellings LLVM prints for the same label
+    typed = "i8* getelementptr inbounds ([3 x i8], [3 x i8]* @0, i32 0, i32 0)"
+    for label in ["i8* getelementptr inbounds ([3 x i8], [3 x i8]* @0, i64 0, i64 0)",
+                  "ptr getelementptr inbounds ([3 x i8], ptr @0, i64 0, i64 0)",
+                  "ptr getelementptr inbounds ([3 x i8], ptr @0, i32 0, i32 0)"]:
+        assert parse_module(src.replace(typed, label)) == module
 
 
 def test_comments_anywhere():

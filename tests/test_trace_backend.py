@@ -1,4 +1,12 @@
-from qirvm import ShotRecorder, TraceBackend, default_registry, execute_shot, find_entry, parse_module
+from qirvm import (
+    ShotRecorder,
+    TraceBackend,
+    compile_program,
+    default_registry,
+    execute_shot,
+    find_entry,
+    parse_module,
+)
 
 from conftest import make_program
 
@@ -7,7 +15,7 @@ def run_traced(module, measure_bits):
     entry = find_entry(module)
     backend = TraceBackend(measure_bits=measure_bits)
     backend.allocate(entry.num_qubits)
-    execute_shot(module, entry, default_registry(), backend, ShotRecorder())
+    execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder())
     return backend.log
 
 
