@@ -9,15 +9,8 @@ a JSON histogram.
 
 __version__ = "0.1.0"
 
-from .analyze import Diagnostic, EntryPoint, find_entry, validate_profile
-from .backends import (
-    BackendInterface,
-    StatevectorBackend,
-    TraceBackend,
-    available_backends,
-    create_backend,
-    qpe_reference_distribution,
-)
+from .analyze import Diagnostic, EntryPoint, compile_program, find_entry, validate_profile
+from .backends import StatevectorBackend, TraceBackend, available_backends, create_backend
 from .errors import (
     AmbiguousEntry,
     NoEntry,
@@ -27,14 +20,13 @@ from .errors import (
     UnknownBackend,
 )
 from .gates import gate_matrix
-from .interpreter import RunConfig, compile_program, execute_shot, run_program, shot_rng
-from .parser import parse_double_literal, parse_module
-from .recorder import RunResult, ShotRecorder, aggregate, emit_json, parse_json
+from .interpreter import RunConfig, execute_shot, run_program, shot_rng
+from .parser import parse_module
+from .recorder import RunResult, ShotRecorder, aggregate, emit_json
 from .registry import GateId, OpKind, OpSpec, Registry, Unresolved, default_registry
 
 __all__ = [
     "AmbiguousEntry",
-    "BackendInterface",
     "Diagnostic",
     "EntryPoint",
     "GateId",
@@ -61,10 +53,7 @@ __all__ = [
     "execute_shot",
     "find_entry",
     "gate_matrix",
-    "parse_double_literal",
-    "parse_json",
     "parse_module",
-    "qpe_reference_distribution",
     "run_program",
     "shot_rng",
     "validate_profile",

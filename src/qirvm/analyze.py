@@ -1,14 +1,25 @@
-"""Entry-point discovery and pre-execution validation."""
+"""Entry-point discovery, compilation of the entry function, and validation."""
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from .backends import DEFAULT_MAX_QUBITS
 from .errors import AmbiguousEntry, EntryPointError, NoEntry
-from .ir import Call, FunctionDef, ProgramModule, QubitRef, ResultRef
-from .registry import OpKind, OpSpec, Registry, Unresolved
+from .ir import (
+    BoolVar,
+    Branch,
+    Call,
+    CondBranch,
+    FunctionDef,
+    LabelConst,
+    ProgramModule,
+    QubitRef,
+    ResultRef,
+)
+from .registry import OpKind, Registry, Unresolved
 
 
 @dataclass(frozen=True)
@@ -100,13 +111,103 @@ def find_entry(module: ProgramModule, override: Optional[str] = None) -> EntryPo
     return EntryPoint(fn.name, num_qubits, num_results, profile or "")
 
 
-def operand_mismatch(call: Call, spec: OpSpec) -> Optional[str]:
-    """Why the kinds of `call`'s operands differ from `spec.operands`, or None."""
+class Control(enum.Enum):
+    """Step codes other than an operation's OpKind."""
+
+    JUMP = "jump"  # (JUMP, block index)
+    BRANCH = "branch"  # (BRANCH, SSA name, then block index, else block index)
+    RETURN = "return"  # (RETURN,)
+    FAULT = "fault"  # (FAULT, message): raised when a shot reaches it
+
+
+@dataclass(frozen=True)
+class Program:
+    """The entry function compiled for one run; block 0 is the entry block.
+
+    `blocks[i]` holds one step per instruction of block i.  A call step is
+    its operation's OpKind followed by constant operand values:
+    (GATE, gate_id, params, targets), (MEASURE, qubit, result),
+    (RESET, qubit), (READ_RESULT, result, SSA name),
+    (RECORD_ARRAY, length, label), (RECORD_RESULT, result, label) or
+    (INITIALIZE, label).  Other steps are Control codes.
+    """
+
+    blocks: tuple
+    num_results: int
+
+
+def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
+    """Why `call`, resolved to `spec`, cannot run in `entry`, or None."""
+    if isinstance(spec, Unresolved):
+        return f"call to unresolved function @{call.callee}"
     got = tuple(arg.kind for arg in call.args)
-    if got == spec.operands:
-        return None
-    return (f"@{call.callee} expects ({', '.join(spec.operands)}) "
-            f"but was called with ({', '.join(got)})")
+    if got != spec.operands:
+        return (f"@{call.callee} expects ({', '.join(spec.operands)}) "
+                f"but was called with ({', '.join(got)})")
+    if spec.returns_bool != (call.result_var is not None):
+        return f"@{call.callee} return-binding mismatch"
+    qubits = [arg.index for arg in call.args if isinstance(arg, QubitRef)]
+    for index in qubits:
+        if index >= entry.num_qubits:
+            return (f"qubit index {index} out of range "
+                    f"(program declares {entry.num_qubits} qubits)")
+    if len(set(qubits)) != len(qubits):
+        return f"duplicate qubit targets {qubits}"
+    for arg in call.args:
+        if isinstance(arg, ResultRef) and arg.index >= entry.num_results:
+            return (f"result index {arg.index} out of range "
+                    f"(program declares {entry.num_results} results)")
+    return None
+
+
+def _value(operand):
+    """The constant a signature-checked call operand stands for."""
+    if isinstance(operand, (QubitRef, ResultRef)):
+        return operand.index
+    if isinstance(operand, LabelConst):
+        return operand.text
+    return operand.value  # IntConst or DoubleConst
+
+
+def _call_step(call: Call, registry: Registry, entry: EntryPoint) -> tuple:
+    spec = registry.resolve(call.callee)
+    fault = _call_fault(call, spec, entry)
+    if fault is not None:
+        return (Control.FAULT, fault)
+    vals = tuple(_value(arg) for arg in call.args)
+    if spec.kind is OpKind.GATE:
+        return (OpKind.GATE, spec.gate_id, vals[: spec.num_params], vals[spec.num_params :])
+    if spec.kind is OpKind.READ_RESULT:
+        return (OpKind.READ_RESULT, vals[0], call.result_var)
+    return (spec.kind, *vals)
+
+
+def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry) -> Program:
+    """Resolve and check the entry function's calls and branch targets once.
+
+    Call operands in the base profile are constants (only branch conditions
+    read SSA values), so each call's OpSpec and operand values are fixed
+    here.  This is the one place that decides whether a call can run: one
+    that cannot (see _call_fault) becomes a FAULT step, raised only when a
+    shot reaches it, and validate_profile reports the same message.
+    """
+    fn = module.function(entry.function_name)
+    index = {block.label: i for i, block in enumerate(fn.blocks)}
+
+    def step(ins) -> tuple:
+        if isinstance(ins, Call):
+            return _call_step(ins, registry, entry)
+        if isinstance(ins, Branch):
+            return (Control.JUMP, index[ins.target_label])
+        if isinstance(ins, CondBranch):
+            if isinstance(ins.cond, BoolVar):
+                return (Control.BRANCH, ins.cond.name,
+                        index[ins.then_label], index[ins.else_label])
+            return (Control.JUMP, index[ins.then_label if ins.cond.value else ins.else_label])
+        return (Control.RETURN,)  # ReturnVoid, the one other instruction
+
+    blocks = tuple(tuple(step(ins) for ins in block.instructions) for block in fn.blocks)
+    return Program(blocks, entry.num_results)
 
 
 def validate_profile(
@@ -115,6 +216,8 @@ def validate_profile(
     """Static checks over the entry function; empty list means executable.
 
     Warnings do not block execution; any error-severity diagnostic does.
+    The errors are the qubit-count limit and one per FAULT step of
+    compile_program, located at function:block:instruction.
     """
     diagnostics = []
     fn = module.function(entry.function_name)
@@ -124,56 +227,16 @@ def validate_profile(
     measured = set()
     read_results = []
 
-    for block in fn.blocks:
-        for i, ins in enumerate(block.instructions):
-            if not isinstance(ins, Call):
-                continue
+    program = compile_program(module, entry, registry)
+    for block, steps in zip(fn.blocks, program.blocks):
+        for i, (code, *args) in enumerate(steps):
             loc = f"{fn.name}:{block.label}:{i}"
-            spec = registry.resolve(ins.callee)
-            if isinstance(spec, Unresolved):
-                if ins.callee.startswith("__quantum__"):
-                    diagnostics.append(
-                        Diagnostic("error", f"unresolved QIS/runtime function @{ins.callee}", loc)
-                    )
-                else:
-                    diagnostics.append(
-                        Diagnostic("error", f"call to unregistered function @{ins.callee}", loc)
-                    )
-                continue
-
-            mismatch = operand_mismatch(ins, spec)
-            if mismatch is not None:
-                diagnostics.append(Diagnostic("error", mismatch, loc))
-                continue
-            if spec.returns_bool != (ins.result_var is not None):
-                diagnostics.append(
-                    Diagnostic("error", f"@{ins.callee} return-binding mismatch", loc)
-                )
-
-            for arg in ins.args:
-                if isinstance(arg, QubitRef) and arg.index >= entry.num_qubits:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            f"qubit index {arg.index} out of range "
-                            f"(program declares {entry.num_qubits} qubits)",
-                            loc,
-                        )
-                    )
-                if isinstance(arg, ResultRef) and arg.index >= entry.num_results:
-                    diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            f"result index {arg.index} out of range "
-                            f"(program declares {entry.num_results} results)",
-                            loc,
-                        )
-                    )
-
-            if spec.kind is OpKind.MEASURE:
-                measured.add(ins.args[1].index)
-            if spec.kind in (OpKind.READ_RESULT, OpKind.RECORD_RESULT):
-                read_results.append((ins.args[0].index, loc))
+            if code is Control.FAULT:
+                diagnostics.append(Diagnostic("error", args[0], loc))
+            elif code is OpKind.MEASURE:
+                measured.add(args[1])
+            elif code in (OpKind.READ_RESULT, OpKind.RECORD_RESULT):
+                read_results.append((args[0], loc))
 
     # path-insensitive: only flag results no measurement writes anywhere
     for index, loc in read_results:

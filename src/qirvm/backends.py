@@ -7,54 +7,28 @@ is bit i of the little-endian amplitude index.
 
 from __future__ import annotations
 
-import abc
 from typing import Optional
 
 import numpy as np
 
 from .errors import RuntimeFault, UnknownBackend
 from .gates import gate_matrix
-from .registry import GATE_SHAPES, GateId
+from .registry import GateId
 
 DEFAULT_MAX_QUBITS = 24
 
 
-class BackendInterface(abc.ABC):
-    """Contract the interpreter drives; see also create_backend()."""
-
-    @abc.abstractmethod
-    def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None,
-                 path: Optional["ShotPath"] = None):
-        """Start a shot; with `path`, its draws and trie replace `rng`."""
-
-    @abc.abstractmethod
-    def apply_gate(self, gate_id: GateId, params, targets):
-        ...
-
-    @abc.abstractmethod
-    def measure(self, qubit: int) -> int:
-        ...
-
-    @abc.abstractmethod
-    def reset(self, qubit: int):
-        ...
-
-    @abc.abstractmethod
-    def name(self) -> str:
-        ...
-
-
-class StatevectorBackend(BackendInterface):
+class StatevectorBackend:
     """Exact simulation over all 2^n complex amplitudes.
 
     Measurement consumes exactly one uniform draw per call (outcome 1 iff
     u < p1), keeping the RNG stream portable and countable.
     """
 
-    def __init__(self, max_qubits: int = DEFAULT_MAX_QUBITS):
-        self.max_qubits = max_qubits
+    def __init__(self):
         self.n = 0
         self.amplitudes = None
+        self.scratch = None
         self.path = None
 
     def name(self) -> str:
@@ -62,11 +36,13 @@ class StatevectorBackend(BackendInterface):
 
     def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None,
                  path: Optional["ShotPath"] = None):
-        if num_qubits > self.max_qubits:
+        """Start a shot; with `path`, its draws and trie replace `rng`."""
+        if num_qubits > DEFAULT_MAX_QUBITS:
             raise RuntimeFault(
-                f"{num_qubits} qubits exceeds the configured maximum of {self.max_qubits}"
+                f"{num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
             )
         self.n = num_qubits
+        self.scratch = np.empty((2, 2 ** max(num_qubits - 1, 0)), dtype=complex)
         self.path = path if path is not None else ShotPath(rng)
         # While replaying a walk that ends in a stored state, amplitudes stay
         # None (gates are skipped) until the measurement that loads it.
@@ -75,21 +51,11 @@ class StatevectorBackend(BackendInterface):
             self.amplitudes = np.zeros(2 ** max(num_qubits, 0), dtype=complex)
             self.amplitudes[0] = 1.0
 
-    def _check_targets(self, targets):
-        if len(set(targets)) != len(targets):
-            raise RuntimeFault(f"duplicate qubit targets {list(targets)}")
-        for q in targets:
-            if not 0 <= q < self.n:
-                raise RuntimeFault(f"qubit index {q} out of range for {self.n} qubits")
-
     def apply_gate(self, gate_id: GateId, params, targets):
-        self._check_targets(targets)
-        arity = GATE_SHAPES[gate_id][1]
-        if arity != len(targets):
-            raise RuntimeFault(f"{gate_id.name} acts on {arity} qubit(s), got {len(targets)}")
+        """Apply a gate to distinct in-range targets, as compile_program checks."""
         if self.amplitudes is not None:
             self.amplitudes = _apply_matrix(
-                self.amplitudes, gate_matrix(gate_id, params), targets, self.n
+                self.amplitudes, gate_matrix(gate_id, params), targets, self.n, self.scratch
             )
 
     def _prob_one(self, qubit: int) -> float:
@@ -99,8 +65,6 @@ class StatevectorBackend(BackendInterface):
         return float(np.real(np.einsum("ij,ij->", branch, branch.conj())))
 
     def measure(self, qubit: int) -> int:
-        if not 0 <= qubit < self.n:
-            raise RuntimeFault(f"qubit index {qubit} out of range for {self.n} qubits")
         path = self.path
         if path.rng is None:
             raise RuntimeFault("statevector backend needs an RNG stream to measure")
@@ -126,9 +90,6 @@ class StatevectorBackend(BackendInterface):
     def reset(self, qubit: int):
         if self.measure(qubit) == 1:
             self.apply_gate(GateId.X, (), (qubit,))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 # Shot branching.  The gates a shot applies between two measurements depend
@@ -218,16 +179,28 @@ class ShotPath:
             slots[slot] = output
 
 
-def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the targeted qubit subspace."""
+def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int,
+                  scratch: np.ndarray) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the targeted qubit subspace.
+
+    A one-qubit gate updates `state` in place, through the two rows of
+    `scratch` (2 x 2^(n-1)), and returns it, so it allocates nothing: a
+    fresh 2^n array per gate makes the run's speed depend on the C heap's
+    layout.  Each half is still m0*zero + m1*one, the same float
+    operations, so the result is bit-identical.
+    """
     if len(targets) == 1:
-        q = targets[0]
-        psi = state.reshape(-1, 2, 1 << q)
-        out = np.empty_like(psi)
+        psi = state.reshape(-1, 2, 1 << targets[0])
         zero, one = psi[:, 0, :], psi[:, 1, :]
-        out[:, 0, :] = matrix[0, 0] * zero + matrix[0, 1] * one
-        out[:, 1, :] = matrix[1, 0] * zero + matrix[1, 1] * one
-        return out.reshape(-1)
+        new_zero, term = (row.reshape(zero.shape) for row in scratch)
+        np.multiply(matrix[0, 0], zero, out=new_zero)
+        np.multiply(matrix[0, 1], one, out=term)
+        np.add(new_zero, term, out=new_zero)
+        np.multiply(matrix[1, 0], zero, out=term)
+        np.multiply(matrix[1, 1], one, out=one)
+        np.add(term, one, out=one)
+        zero[...] = new_zero
+        return state
     k = len(targets)
     axes = [n - 1 - q for q in targets]  # axis order matches matrix bit order
     rest = [a for a in range(n) if a not in axes]
@@ -240,7 +213,7 @@ def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.
     return psi.reshape([2] * n).transpose(inverse).reshape(-1)
 
 
-class TraceBackend(BackendInterface):
+class TraceBackend:
     """Records the dispatched instruction stream instead of simulating.
 
     Measurement outcomes come from `measure_bits` (cycled) or default 0,
@@ -291,7 +264,7 @@ def available_backends():
     return sorted(_BACKENDS)
 
 
-def create_backend(choice: str) -> BackendInterface:
+def create_backend(choice: str):
     """Instantiate a fresh backend by registered name."""
     factory = _BACKENDS.get(choice)
     if factory is None:
@@ -299,24 +272,3 @@ def create_backend(choice: str) -> BackendInterface:
             f"unknown backend {choice!r}; available: {', '.join(available_backends())}"
         )
     return factory()
-
-
-def qpe_reference_distribution(phi: float, k: int) -> np.ndarray:
-    """Analytic outcome distribution of k-bit phase estimation of phase phi.
-
-    P(m) = sin^2(2^k pi d) / (4^k sin^2(pi d)) with d = phi - m/2^k, and
-    P(m) = 1 in the d -> 0 limit.
-    """
-    if k > 20:
-        raise ValueError("k must be at most 20")
-    two_k = 2 ** k
-    m = np.arange(two_k)
-    delta = phi - m / two_k
-    probs = np.empty(two_k)
-    exact = np.isclose(np.sin(np.pi * delta), 0.0, atol=1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = np.sin(two_k * np.pi * delta) ** 2 / (
-            4 ** k * np.sin(np.pi * delta) ** 2
-        )
-    probs[exact] = 1.0
-    return probs

@@ -11,27 +11,17 @@ have computed itself.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import EntryPoint, operand_mismatch
-from .backends import BackendInterface, OutcomeTrie, ShotPath, create_backend
+from .analyze import Control, EntryPoint, Program, compile_program
+from .backends import OutcomeTrie, ShotPath, create_backend
 from .errors import RuntimeFault
-from .ir import (
-    BoolVar,
-    Branch,
-    Call,
-    CondBranch,
-    LabelConst,
-    ProgramModule,
-    QubitRef,
-    ResultRef,
-)
+from .ir import ProgramModule
 from .recorder import Histogram, RunResult, ShotOutput, ShotRecorder
 from .recorder import aggregate  # noqa: F401  (public name of this module too)
-from .registry import OpKind, Registry, Unresolved
+from .registry import OpKind, Registry
 
 DEFAULT_SHOTS = 1024
 DEFAULT_STEP_LIMIT = 10 ** 7
@@ -58,86 +48,7 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, shot_index]))
 
 
-class Control(enum.Enum):
-    """Step codes other than an operation's OpKind."""
-
-    JUMP = "jump"  # (JUMP, block index)
-    BRANCH = "branch"  # (BRANCH, SSA name, then block index, else block index)
-    RETURN = "return"  # (RETURN,)
-    FAULT = "fault"  # (FAULT, message): raised when a shot reaches it
-
-
-@dataclass(frozen=True)
-class Program:
-    """The entry function compiled for one run; block 0 is the entry block.
-
-    `blocks[i]` holds one step per instruction of block i.  A call step is
-    its operation's OpKind followed by constant operand values:
-    (GATE, gate_id, params, targets), (MEASURE, qubit, result),
-    (RESET, qubit), (READ_RESULT, result, SSA name),
-    (RECORD_ARRAY, length, label), (RECORD_RESULT, result, label) or
-    (INITIALIZE, label).  Other steps are Control codes.
-    """
-
-    blocks: tuple
-    num_results: int
-
-
-def _value(operand):
-    """The constant a signature-checked call operand stands for."""
-    if isinstance(operand, (QubitRef, ResultRef)):
-        return operand.index
-    if isinstance(operand, LabelConst):
-        return operand.text
-    return operand.value  # IntConst or DoubleConst
-
-
-def _call_step(call: Call, registry: Registry) -> tuple:
-    spec = registry.resolve(call.callee)
-    if isinstance(spec, Unresolved):
-        return (Control.FAULT, f"call to unresolved function @{call.callee}")
-    mismatch = operand_mismatch(call, spec)
-    if mismatch is not None:
-        return (Control.FAULT, mismatch)
-    vals = tuple(_value(arg) for arg in call.args)
-    if spec.kind is OpKind.GATE:
-        return (OpKind.GATE, spec.gate_id, vals[: spec.num_params], vals[spec.num_params :])
-    if spec.kind is OpKind.READ_RESULT:
-        return (OpKind.READ_RESULT, vals[0], call.result_var)
-    return (spec.kind, *vals)
-
-
-def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry) -> Program:
-    """Resolve the entry function's calls and branch targets once per run.
-
-    Call operands in the base profile are constants (only branch conditions
-    read SSA values), so each call's OpSpec and operand values are fixed
-    here.  A call that cannot run -- an unresolved callee, or operands that
-    do not fit its signature, such as an SSA value -- becomes a FAULT step,
-    raised only when a shot reaches it.
-    """
-    fn = module.function(entry.function_name)
-    index = {block.label: i for i, block in enumerate(fn.blocks)}
-
-    def step(ins) -> tuple:
-        if isinstance(ins, Call):
-            return _call_step(ins, registry)
-        if isinstance(ins, Branch):
-            return (Control.JUMP, index[ins.target_label])
-        if isinstance(ins, CondBranch):
-            if isinstance(ins.cond, BoolVar):
-                return (Control.BRANCH, ins.cond.name,
-                        index[ins.then_label], index[ins.else_label])
-            return (Control.JUMP, index[ins.then_label if ins.cond.value else ins.else_label])
-        return (Control.RETURN,)  # ReturnVoid, the one other instruction
-
-    blocks = tuple(tuple(step(ins) for ins in block.instructions) for block in fn.blocks)
-    return Program(blocks, entry.num_results)
-
-
 def _result_bit(bits: list, index: int) -> int:
-    if index >= len(bits):
-        raise RuntimeFault(f"result index {index} out of range")
     bit = bits[index]
     if bit is None:
         raise RuntimeFault(f"use of unmeasured result {index}")
@@ -146,7 +57,7 @@ def _result_bit(bits: list, index: int) -> int:
 
 def execute_shot(
     program: Program,
-    backend: BackendInterface,
+    backend,
     recorder: ShotRecorder,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> ShotOutput:
@@ -161,8 +72,6 @@ def execute_shot(
             backend.apply_gate(*args)
         elif code is OpKind.MEASURE:
             qubit, result = args
-            if result >= len(bits):
-                raise RuntimeFault(f"result index {result} out of range")
             bits[result] = backend.measure(qubit)
         elif code is OpKind.RESET:
             backend.reset(args[0])

@@ -121,21 +121,3 @@ def emit_json(result: RunResult) -> str:
         "per_shot": list(result.per_shot) if result.per_shot is not None else None,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_json(text: str) -> RunResult:
-    doc = json.loads(text)
-    if doc.get("schema") != JSON_SCHEMA_ID:
-        raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-    return RunResult(
-        program_name=doc["program"],
-        backend_name=doc["backend"],
-        shots=doc["shots"],
-        seed=doc["seed"],
-        rng_id=doc["rng"],
-        num_qubits=doc["num_qubits"],
-        num_results=doc["num_results"],
-        histogram=dict(doc["histogram"]),
-        labels=tuple(doc["labels"]) if doc["labels"] is not None else None,
-        per_shot=tuple(doc["per_shot"]) if doc["per_shot"] is not None else None,
-    )

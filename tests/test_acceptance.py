@@ -20,12 +20,11 @@ from qirvm import (
     find_entry,
     gate_matrix,
     parse_module,
-    qpe_reference_distribution,
     run_program,
 )
 from qirvm.cli import EX_CONFIG, EX_DATAERR, EX_SOFTWARE, main
 
-from conftest import QPE_LL, TELEPORT_LL, make_program
+from conftest import QPE_LL, TELEPORT_LL, make_program, qpe_reference_distribution
 from test_statevector import embed_full, random_gate_sequence
 
 

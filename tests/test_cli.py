@@ -95,6 +95,10 @@ def test_validation_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, src)
     assert main(["run", path]) == EX_CONFIG
     assert "foo" in capsys.readouterr().err
+    src = make_program(
+        "entry:\n  call void @__quantum__qis__cnot__body(%Qubit* null, %Qubit* null)\n  ret void")
+    assert main(["run", write(tmp_path, src, "dup.ll")]) == EX_CONFIG
+    assert "duplicate qubit targets [0, 0]" in capsys.readouterr().err
 
 
 def test_runtime_fault_exit_code(tmp_path):

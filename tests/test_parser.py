@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from qirvm import ParseError, parse_double_literal, parse_module
+from qirvm import ParseError, parse_module
 from qirvm.ir import (
     Branch,
     Call,
@@ -15,6 +15,7 @@ from qirvm.ir import (
     ResultRef,
     render_module,
 )
+from qirvm.parser import parse_double_literal
 
 from conftest import QPE_LL, TELEPORT_LL, make_program
 

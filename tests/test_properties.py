@@ -9,12 +9,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qirvm import ShotRecorder, aggregate, emit_json, parse_json, parse_double_literal, parse_module
-from qirvm.backends import qpe_reference_distribution
+from qirvm import ShotRecorder, aggregate, emit_json, parse_module
 from qirvm.cli import main
 from qirvm.ir import render_module
+from qirvm.parser import parse_double_literal
 
-from conftest import TELEPORT_LL
+from conftest import TELEPORT_LL, parse_json, qpe_reference_distribution
 from test_branching import feed_forward_programs
 
 META = dict(

@@ -1,7 +1,9 @@
 import pytest
 
-from qirvm import RuntimeFault, ShotRecorder, aggregate, emit_json, parse_json
+from qirvm import RuntimeFault, ShotRecorder, aggregate, emit_json
 from qirvm.recorder import RunResult, ShotOutput
+
+from conftest import parse_json
 
 META = dict(
     program_name="t",

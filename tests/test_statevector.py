@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
 
-from qirvm import GateId, RuntimeFault, StatevectorBackend, create_backend, gate_matrix
-from qirvm.backends import qpe_reference_distribution
+from qirvm import (
+    GateId,
+    RunConfig,
+    RuntimeFault,
+    StatevectorBackend,
+    create_backend,
+    default_registry,
+    find_entry,
+    gate_matrix,
+    parse_module,
+    run_program,
+    validate_profile,
+)
+from qirvm.backends import DEFAULT_MAX_QUBITS
+from qirvm.registry import GATE_SHAPES
+
+from conftest import make_program, qpe_reference_distribution
 
 
 def fresh(n, seed=0):
@@ -21,7 +36,7 @@ def test_bell_state():
     sv = fresh(2)
     sv.apply_gate(GateId.H, (), (0,))
     sv.apply_gate(GateId.CNOT, (), (0, 1))
-    assert np.allclose(sv.probabilities(), [0.5, 0, 0, 0.5])
+    assert np.allclose(np.abs(sv.amplitudes) ** 2, [0.5, 0, 0, 0.5])
 
 
 def test_x_then_measure_is_deterministic():
@@ -58,7 +73,7 @@ def test_reset_one_to_zero():
     sv = fresh(1)
     sv.apply_gate(GateId.X, (), (0,))
     sv.reset(0)
-    assert np.allclose(sv.probabilities(), [1, 0])
+    assert np.allclose(np.abs(sv.amplitudes) ** 2, [1, 0])
 
 
 def test_reset_zero_is_fixpoint():
@@ -75,7 +90,7 @@ def test_reset_on_bell_pair_collapses_partner():
         sv.apply_gate(GateId.H, (), (0,))
         sv.apply_gate(GateId.CNOT, (), (0, 1))
         sv.reset(0)
-        probs = sv.probabilities()
+        probs = np.abs(sv.amplitudes) ** 2
         # qubit 0 marginal must be exactly |0>
         assert probs[1] + probs[3] < 1e-12
         partner = 1 if probs[2] > 0.5 else 0
@@ -92,7 +107,7 @@ def test_probabilities_sum_to_one():
         g = gates_1q[rng.integers(len(gates_1q))]
         params = (rng.uniform(-np.pi, np.pi),) if g is GateId.RX else ()
         sv.apply_gate(g, params, (int(rng.integers(4)),))
-        assert abs(sv.probabilities().sum() - 1.0) < 1e-10
+        assert abs((np.abs(sv.amplitudes) ** 2).sum() - 1.0) < 1e-10
 
 
 def test_adjoint_cancellation_returns_state():
@@ -116,22 +131,55 @@ def test_adjoint_cancellation_returns_state():
     assert np.max(np.abs(sv.amplitudes - before)) < 1e-10
 
 
-def test_duplicate_target_rejected():
-    sv = fresh(2)
-    with pytest.raises(RuntimeFault):
-        sv.apply_gate(GateId.CNOT, (), (1, 1))
+Q1 = "%Qubit* inttoptr (i64 1 to %Qubit*)"
+
+# Calls compile_program turns into faults, each with the validator's message.
+BAD_CALLS = {
+    "undeclared qubit": ("call void @__quantum__qis__x__body(%Qubit* inttoptr (i64 2 to %Qubit*))",
+                         "qubit index 2 out of range (program declares 2 qubits)"),
+    "duplicate targets": (f"call void @__quantum__qis__cnot__body({Q1}, {Q1})",
+                          "duplicate qubit targets [1, 1]"),
+    "undeclared result": ("call void @__quantum__qis__mz__body"
+                          "(%Qubit* null, %Result* inttoptr (i64 1 to %Result*))",
+                          "result index 1 out of range (program declares 1 results)"),
+    "bound gate": ("%1 = call i1 @__quantum__qis__x__body(%Qubit* null)",
+                   "@__quantum__qis__x__body return-binding mismatch"),
+    "ssa operand": ("call void @__quantum__qis__x__body(i1 %0)",
+                    "@__quantum__qis__x__body expects (qubit) but was called with (i1)"),
+    "unresolved callee": ("call void @__quantum__qis__nope__body(%Qubit* null)",
+                          "call to unresolved function @__quantum__qis__nope__body"),
+}
 
 
-def test_out_of_range_target_rejected():
-    sv = fresh(2)
-    with pytest.raises(RuntimeFault):
-        sv.apply_gate(GateId.X, (), (2,))
+@pytest.mark.parametrize("backend", ["statevector", "trace"])
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_call_that_cannot_run_faults_on_every_backend(case, backend):
+    call, message = BAD_CALLS[case]
+    src = make_program(
+        "entry:\n"
+        "  call void @__quantum__qis__h__body(%Qubit* null)\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+        "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
+        f"  {call}\n"
+        "  call void @__quantum__rt__result_record_output(%Result* null, i8* null)\n"
+        "  ret void",
+        attrs='"entry_point" "num_required_qubits"="2" "num_required_results"="1"',
+    )
+    module = parse_module(src)
+    entry = find_entry(module)
+    registry = default_registry()
+    diagnostics = validate_profile(module, entry, registry)
+    assert [(d.severity, d.message) for d in diagnostics] == [("error", message)]
+    config = RunConfig(shots=4, backend_choice=backend)
+    with pytest.raises(RuntimeFault) as fault:
+        run_program(module, entry, registry, config)
+    assert str(fault.value) == f"shot 0: {message}"
 
 
 def test_max_qubits_enforced():
-    sv = StatevectorBackend(max_qubits=4)
-    with pytest.raises(RuntimeFault):
-        sv.allocate(5)
+    sv = StatevectorBackend()
+    with pytest.raises(RuntimeFault, match="exceeds the maximum"):
+        sv.allocate(DEFAULT_MAX_QUBITS + 1)
 
 
 def test_measure_without_rng_faults():
@@ -194,6 +242,26 @@ def test_random_sequences_match_dense_oracle():
             sv.apply_gate(g, params, targets)
             psi = embed_full(gate_matrix(g, params), targets, n) @ psi
         assert np.max(np.abs(sv.amplitudes - psi)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_one_qubit_gates_match_the_allocating_formula_bit_for_bit(n):
+    # apply_gate updates the state in place; the bits must equal m0*zero + m1*one
+    rng = np.random.default_rng(n)
+    for gate, (num_params, num_qubits) in GATE_SHAPES.items():
+        if num_qubits != 1:
+            continue
+        params = tuple(float(x) for x in rng.uniform(-2 * np.pi, 2 * np.pi, num_params))
+        m = gate_matrix(gate, params)
+        for q in range(n):
+            sv = fresh(n)
+            sv.amplitudes = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            psi = sv.amplitudes.reshape(-1, 2, 1 << q)
+            zero, one = psi[:, 0, :], psi[:, 1, :]
+            expected = np.stack([m[0, 0] * zero + m[0, 1] * one,
+                                 m[1, 0] * zero + m[1, 1] * one], axis=1).reshape(-1)
+            sv.apply_gate(gate, params, (q,))
+            assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64))
 
 
 def test_create_backend_factory():
