@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Check that `qirvm run` still writes the recorded result bytes.
 
-Recomputes seeds 0-31 of the `teleport` and `ffloop-n14` benchmark
-workloads in this process, the way perfbench/child.py runs them
-(parse_module -> find_entry -> validate_profile -> run_program ->
-emit_json), and compares each result's sha256 with
-perfbench/result_sha256.json, which it only reads.  Exits 1 on any
-mismatch.  It takes no options:
+Recomputes seeds 0-31 of the four recorded benchmark workloads
+(`teleport`, `qpe-k5`, `layered-n8`, `ffloop-n14`) in this process, the
+way perfbench/child.py runs them (parse_module -> find_entry ->
+validate_profile -> run_program -> emit_json), and compares each
+result's sha256 with perfbench/result_sha256.json, which it only reads.
+Exits 1 on any mismatch.  It takes no options:
 
     python3 scripts/check_result_sha256.py
 """
@@ -33,7 +33,7 @@ from qirvm import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 
-CHECKED = ("teleport", "ffloop-n14")
+CHECKED = ("teleport", "qpe-k5", "layered-n8", "ffloop-n14")
 SEEDS = range(32)
 
 

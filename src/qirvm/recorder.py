@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import RuntimeFault
 
@@ -61,28 +63,31 @@ class Histogram:
 
     def __init__(self, keep_per_shot: bool = False):
         self.counts = {}
-        self.lengths = set()
         self.labels = None
         self.per_shot = [] if keep_per_shot else None
-        self.shots = 0
 
     def add(self, shot: ShotOutput):
-        self.shots += 1
-        self.counts[shot.bitstring] = self.counts.get(shot.bitstring, 0) + 1
-        self.lengths.add(len(shot.bitstring))
-        if self.labels is None and any(lbl is not None for lbl in shot.labels):
-            self.labels = shot.labels
+        self.add_groups([([0], shot)], 1)
+
+    def add_groups(self, groups: list, count: int):
+        """Add shots 0..count-1 as (rows, output) groups, in order of lowest row."""
+        for rows, shot in groups:
+            self.counts[shot.bitstring] = self.counts.get(shot.bitstring, 0) + len(rows)
+            if self.labels is None and any(lbl is not None for lbl in shot.labels):
+                self.labels = shot.labels
         if self.per_shot is not None:
-            self.per_shot.append(shot.bitstring)
+            bitstrings = np.empty(count, dtype=object)
+            for rows, shot in groups:
+                bitstrings[rows] = shot.bitstring
+            self.per_shot += bitstrings.tolist()
 
     def result(self, **meta) -> RunResult:
         """The RunResult for the shots added; all must record the same length."""
-        if len(self.lengths) > 1:
-            raise RuntimeFault(
-                f"shots recorded different result counts: {sorted(self.lengths)}"
-            )
+        lengths = sorted({len(bitstring) for bitstring in self.counts})
+        if len(lengths) > 1:
+            raise RuntimeFault(f"shots recorded different result counts: {lengths}")
         return RunResult(
-            shots=self.shots,
+            shots=sum(self.counts.values()),
             histogram=self.counts,
             labels=self.labels,
             per_shot=tuple(self.per_shot) if self.per_shot is not None else None,

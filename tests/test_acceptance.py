@@ -221,3 +221,18 @@ def test_criterion_8_error_paths(tmp_path, capsys):
         assert main(["run", str(path)]) == EX_DATAERR
         assert re.search(r"line \d+", capsys.readouterr().err)
     _report(8, f"({t.elapsed:.2f} s)")
+
+
+def test_million_shot_teleport_run(tmp_path):
+    # aim 1 names shot counts up to 10**6; bulk routing keeps each run short
+    teleport = tmp_path / "teleport.ll"
+    teleport.write_text(TELEPORT_LL)
+    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outputs:
+        with timed(10.0) as t:
+            args = ["run", str(teleport), "--shots", "1000000", "--output", str(out)]
+            assert main(args) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    doc = json.loads(outputs[0].read_text())
+    assert doc["shots"] == sum(doc["histogram"].values()) == 10 ** 6
+    _report("million shots", f"({t.elapsed:.2f} s per run)")

@@ -6,6 +6,7 @@ run_program did before shots shared an outcome-history trie.  The two must
 give byte-identical JSON, or fault at the same shot with the same message.
 """
 
+import json
 import math
 import os
 import struct
@@ -32,7 +33,7 @@ from qirvm import (
     run_program,
     shot_rng,
 )
-from qirvm import backends
+from qirvm import backends, interpreter
 from qirvm.backends import OutcomeTrie, ShotPath
 from qirvm.interpreter import RNG_ID
 
@@ -200,15 +201,62 @@ def feed_forward_programs(draw):
 
 
 # Small budgets make misses replay from an ancestor's stored state, or from
-# |0...0>, and stop the trie growing partway through a run.
+# |0...0>, and stop the trie growing partway through a run.  A small chunk
+# makes runs of up to 64 shots cross several chunk boundaries.
+SMALL_CHUNK = 5
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
        st.sampled_from([backends.MAX_STORED_AMPLITUDES, 32, 0]),
-       st.sampled_from([backends.MAX_TRIE_NODES, 3]))
-def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes):
+       st.sampled_from([backends.MAX_TRIE_NODES, 3]),
+       st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]))
+def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes,
+                                           chunk):
     with mock.patch.multiple(backends, MAX_STORED_AMPLITUDES=max_amplitudes,
-                             MAX_TRIE_NODES=max_nodes):
+                             MAX_TRIE_NODES=max_nodes), \
+            mock.patch.object(interpreter, "SHOT_CHUNK", chunk):
         assert_matches_reference(source, shots, seed)
+
+
+def three_coin_flips(if_111, if_011=None, otherwise=()):
+    """Measure three |+> qubits into results 0-2, then branch on the history."""
+    otherwise = list(otherwise)
+    if_011 = otherwise if if_011 is None else if_011
+    return [*(call("h", qubit(q)) for q in range(3)), *(mz(q, q) for q in range(3)),
+            *branch(0, 0, branch(1, 1, branch(2, 2, if_111, otherwise), otherwise),
+                    branch(3, 1, branch(4, 2, if_011, otherwise), otherwise))]
+
+
+def test_lowest_faulting_shot_past_the_first_chunk():
+    # history 111 records result 3 without measuring it; at seed 2 the
+    # first shot with that history is shot 8, in the second chunk
+    source = program(three_coin_flips([], otherwise=[mz(0, 3)]), 3, [3], 4)
+    with mock.patch.object(interpreter, "SHOT_CHUNK", SMALL_CHUNK):
+        fault = assert_matches_reference(source, shots=24, seed=2)
+    assert str(fault) == "shot 8: use of unmeasured result 3"
+
+
+def test_labels_first_reached_in_a_later_chunk():
+    def records(label):
+        text = "null" if label is None else \
+            f"getelementptr inbounds ([3 x i8], [3 x i8]* @{label}, i64 0, i64 0)"
+        return ["  call void @__quantum__rt__array_record_output(i64 3, i8* null)"] + [
+            f"  call void @__quantum__rt__result_record_output({result(r)}, i8* {text})"
+            for r in range(3)]
+
+    # histories 111 and 011 label their records "hi" and "lo"; at seed 2 the
+    # first labelled shots are 6 (011) and 8 (111), both in the second chunk
+    lines = ["entry:", *three_coin_flips(records("hi"), records("lo"), records(None)),
+             "  ret void"]
+    source = ('@hi = internal constant [3 x i8] c"hi\\00"\n'
+              '@lo = internal constant [3 x i8] c"lo\\00"\n') + make_program(
+        "\n".join(lines), declarations=DECLS,
+        attrs='"entry_point" "num_required_qubits"="3" "num_required_results"="3"')
+    with mock.patch.object(interpreter, "SHOT_CHUNK", SMALL_CHUNK):
+        doc = json.loads(assert_matches_reference(source, shots=24, seed=2))
+    labelled = [i for i, bits in enumerate(doc["per_shot"]) if bits.endswith("11")]
+    assert labelled[:2] == [6, 8] and doc["labels"] == ["lo"] * 3
 
 
 def test_teleport_matches_per_shot_loop():

@@ -94,6 +94,14 @@ def test_shot_isolation_rng_depends_only_on_seed_and_index():
     assert draws_a == list(reversed(draws_b))
 
 
+# bool is an int subclass that JSON would write as true; a negative seed
+# failed only inside numpy, and would wrap in a uint32 cast
+@pytest.mark.parametrize("seed", [True, False, -1, 1.0, "3", None])
+def test_run_config_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        RunConfig(seed=seed)
+
+
 def test_read_unmeasured_result_faults():
     src = make_program(
         "entry:\n"
