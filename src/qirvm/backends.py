@@ -22,7 +22,8 @@ class StatevectorBackend:
     """Exact simulation over all 2^n complex amplitudes.
 
     Measurement consumes exactly one uniform draw per call (outcome 1 iff
-    u < p1), keeping the RNG stream portable and countable.
+    u < p1; routing made the draw of a replayed one), keeping the RNG
+    stream portable and countable.
     """
 
     def __init__(self):
@@ -36,7 +37,7 @@ class StatevectorBackend:
 
     def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None,
                  path: Optional["ShotPath"] = None):
-        """Start a shot; with `path`, its draws and trie replace `rng`."""
+        """Start a shot; with `path`, its walk, stream and trie replace `rng`."""
         if num_qubits > DEFAULT_MAX_QUBITS:
             raise RuntimeFault(
                 f"{num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
@@ -66,16 +67,18 @@ class StatevectorBackend:
 
     def measure(self, qubit: int) -> int:
         path = self.path
-        if path.rng is None:
+        node, outcome = next(path.replay, (None, None))
+        if node is not None:  # replay the walk's recorded outcome
+            p1 = node.p1
+            if self.amplitudes is None:
+                if node is not path.start:
+                    return outcome
+                self.amplitudes = node.state.copy()
+        elif path.rng is None:
             raise RuntimeFault("statevector backend needs an RNG stream to measure")
-        node, u = path.draw()
-        if self.amplitudes is None:
-            if node is not path.start:
-                return 1 if u < node.p1 else 0
-            self.amplitudes = node.state.copy()
-        p1 = self._prob_one(qubit) if node is None else node.p1
-        outcome = 1 if u < p1 else 0
-        if node is None:
+        else:
+            p1 = self._prob_one(qubit)
+            outcome = 1 if path.rng.random() < p1 else 0
             path.grow(p1, self.amplitudes, outcome)
         self._project(qubit, outcome, p1 if outcome else 1.0 - p1)
         return outcome
@@ -113,7 +116,7 @@ class _Node:
 
 
 class OutcomeTrie:
-    """One run's outcome-history trie; ShotPath walks and extends it."""
+    """One run's outcome-history trie; run_program walks it, ShotPath extends it."""
 
     def __init__(self):
         self.root = [None]
@@ -122,38 +125,23 @@ class OutcomeTrie:
 
 
 class ShotPath:
-    """One shot's walk down an OutcomeTrie, then its replay on a backend.
+    """One shot's replay of its walk down an OutcomeTrie on a backend.
 
-    The walk draws one uniform per node from the shot's stream, outcome 1
-    iff u < p1, and stops at a leaf, which is the shot's output, or at an
-    empty slot.  On such a miss the shot runs on a backend allocated with
-    this path.  The backend skips gates until the deepest node on the walk
-    that stores a state, replays the walk's draws, and adds a node for
-    each later draw.  Without a trie the path just draws from `rng`.
+    `walk` holds the (node, outcome) pairs that routing drew for the shot,
+    `rng` continues its stream past them, and `tail` is the empty slot
+    (children, outcome) the walk ended at.  The backend skips gates until
+    `start`, the deepest walk node that stores a state, takes each walk
+    node's outcome from `replay`, and adds a node for each later draw.
+    Without a trie the path just draws from `rng`.
     """
 
-    def __init__(self, rng: Optional[np.random.Generator], trie: Optional[OutcomeTrie] = None):
+    def __init__(self, rng: Optional[np.random.Generator], walk=(), tail=None,
+                 trie: Optional[OutcomeTrie] = None):
         self.rng = rng
         self.trie = trie
-        self.walk = []  # (node, u) for each node the walk passed
-        self.start = None
-        self.leaf = None
-        self.tail = None  # (children, outcome): the slot the next node or leaf fills
-        if trie is not None:
-            slots, outcome = trie.root, 0
-            while isinstance(slots[outcome], _Node):
-                node, u = slots[outcome], rng.random()
-                self.walk.append((node, u))
-                if node.state is not None:
-                    self.start = node
-                slots, outcome = node.children, 1 if u < node.p1 else 0
-            self.leaf = slots[outcome]
-            self.tail = (slots, outcome)
-        self._replay = iter(self.walk)
-
-    def draw(self):
-        """The next measurement's walk node (None past the walk) and uniform."""
-        return next(self._replay, None) or (None, self.rng.random())
+        self.tail = tail
+        self.start = next((node for node, _ in reversed(walk) if node.state is not None), None)
+        self.replay = iter(walk)
 
     def grow(self, p1: float, state, outcome: int):
         """Add a node for a draw past the walk, storing a copy of `state` if it fits."""
@@ -234,7 +222,7 @@ class TraceBackend:
         self.n = num_qubits
         self.log = []
         self._measure_cursor = 0
-        self.path = path
+        self.path = path if path is not None else ShotPath(rng)
 
     def apply_gate(self, gate_id: GateId, params, targets):
         self.log.append((gate_id.value, tuple(params), tuple(targets)))
@@ -246,9 +234,10 @@ class TraceBackend:
         else:
             bit = 0
         self.log.append(("mz", (), (qubit,)))
-        if self.path is not None and self.path.draw()[0] is None:
-            self.path.grow(float(bit), None, int(bit))  # p1 of a forced outcome
-        return int(bit)
+        node, outcome = next(self.path.replay, (None, int(bit)))
+        if node is None:
+            self.path.grow(float(bit), None, outcome)  # p1 of a forced outcome
+        return outcome
 
     def reset(self, qubit: int):
         self.log.append(("reset", (), (qubit,)))

@@ -5,8 +5,9 @@ the compiled Program once per shot, with a fresh backend state, a fresh
 SSA environment, and an RNG stream derived deterministically from
 (seed, shot_index), by shot_rng for one shot or ShotStreams for many.
 Shots are therefore order-independent: a shot whose outcome history an
-earlier shot already ran reuses that work (see OutcomeTrie) and gets
-the same output it would have computed itself.
+earlier shot already ran reuses that work (see OutcomeTrie), and a shot
+that misses replays the outcomes recorded on its walk and continues the
+stream that routed it, so each gets the output it would compute alone.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ DEFAULT_SHOTS = 1024
 DEFAULT_STEP_LIMIT = 10 ** 7
 SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 
-# Identifies the per-shot stream derivation, numpy PCG64 seeded with
-# SeedSequence([seed, shot_index]), which shot_rng and ShotStreams both implement.
+# Identifies the per-shot stream, numpy PCG64 seeded with SeedSequence([seed, shot_index]):
+# shot_rng defines it; ShotStreams computes it, and a trie miss continues it, bit for bit.
 RNG_ID = "numpy-pcg64/seedseq[seed,shot]"
 
 
@@ -42,10 +43,10 @@ class RunConfig:
     per_shot: bool = False
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, not {self.seed!r}")
+        for name, least, kind in ("shots", 1, "positive"), ("seed", 0, "non-negative"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be a {kind} int, not {value!r}")
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
@@ -123,6 +124,14 @@ class ShotStreams:
         bits = (bits >> rotation) | (bits << ((np.uint64(64) - rotation) & np.uint64(63)))
         return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
+    def generator(self, row: int) -> np.random.Generator:
+        """A Generator that continues `row`'s stream from its current state."""
+        pcg = np.random.PCG64(0)
+        pcg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": int(self.hi[row]) << 64 | int(self.lo[row]),
+            "inc": int(self.inc_hi[row]) << 64 | int(self.inc_lo[row])}}
+        return np.random.Generator(pcg)
+
 
 def _result_bit(bits: list, index: int) -> int:
     bit = bits[index]
@@ -186,10 +195,11 @@ def run_program(
 
     Shots go through one OutcomeTrie SHOT_CHUNK at a time, in groups taken
     lowest shot index first.  A group at a node draws from ShotStreams and
-    splits on u < p1; a group at a leaf takes its output.  At an empty slot
-    the group's lowest shot runs alone, with shot_rng, and extends the
-    trie; the rest waits there again.  Every lower shot has its output by
-    then, so a fault names the lowest faulting shot.
+    splits on u < p1, noting (node, outcome) on its walk; a group at a
+    leaf takes its output.  At an empty slot the group's lowest shot runs
+    alone: it replays the walk's outcomes, continues its stream past them
+    and extends the trie; the rest waits there again.  Every lower shot
+    has its output by then, so a fault names the lowest faulting shot.
     """
     program = compile_program(module, entry, registry)
     trie = OutcomeTrie()
@@ -198,12 +208,12 @@ def run_program(
         count = min(SHOT_CHUNK, config.shots - first)
         streams = ShotStreams(config.seed, first, count)
         taken = []  # (rows, output) per group that has its output
-        waiting = [(0, np.arange(count), trie.root, 0)]
+        waiting = [(0, np.arange(count), trie.root, 0, ())]
         while waiting:
-            low, rows, slots, slot = heapq.heappop(waiting)
+            low, rows, slots, slot, walk = heapq.heappop(waiting)
             held = slots[slot]
             if held is None:
-                path = ShotPath(shot_rng(config.seed, first + low), trie)
+                path = ShotPath(streams.generator(low), walk, (slots, slot), trie)
                 backend = create_backend(config.backend_choice)
                 backend.allocate(entry.num_qubits, path=path)
                 try:
@@ -213,13 +223,14 @@ def run_program(
                     raise RuntimeFault(f"shot {first + low}: {fault}") from fault
                 path.seal(held)
                 if rows.size > 1:
-                    heapq.heappush(waiting, (int(rows[1]), rows[1:], slots, slot))
+                    heapq.heappush(waiting, (int(rows[1]), rows[1:], slots, slot, walk))
                 rows = rows[:1]
             elif not isinstance(held, ShotOutput):  # a trie node
                 ones = streams.random(rows) < held.p1
                 for outcome, part in (1, rows[ones]), (0, rows[~ones]):
                     if part.size:
-                        heapq.heappush(waiting, (int(part[0]), part, held.children, outcome))
+                        heapq.heappush(waiting, (int(part[0]), part, held.children, outcome,
+                                                 walk + ((held, outcome),)))
                 continue
             taken.append((rows, held))
         histogram.add_groups(taken, count)

@@ -66,9 +66,6 @@ class Histogram:
         self.labels = None
         self.per_shot = [] if keep_per_shot else None
 
-    def add(self, shot: ShotOutput):
-        self.add_groups([([0], shot)], 1)
-
     def add_groups(self, groups: list, count: int):
         """Add shots 0..count-1 as (rows, output) groups, in order of lowest row."""
         for rows, shot in groups:
@@ -101,9 +98,9 @@ def aggregate(shot_outputs, *, keep_per_shot: bool = False, **meta) -> RunResult
     `meta` gives the RunResult fields that do not come from the shots:
     program_name, backend_name, seed, rng_id, num_qubits and num_results.
     """
+    groups = [([row], shot) for row, shot in enumerate(shot_outputs)]
     histogram = Histogram(keep_per_shot)
-    for shot in shot_outputs:
-        histogram.add(shot)
+    histogram.add_groups(groups, len(groups))
     return histogram.result(**meta)
 
 

@@ -34,7 +34,7 @@ from qirvm import (
     shot_rng,
 )
 from qirvm import backends, interpreter
-from qirvm.backends import OutcomeTrie, ShotPath
+from qirvm.backends import ShotPath
 from qirvm.interpreter import RNG_ID
 
 from conftest import QPE_LL, TELEPORT_LL, make_program
@@ -269,23 +269,27 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
     lines = [call("h", qubit(0)), mz(0, 0), *branch(0, 0, [call("x", qubit(n - 1))], []),
              call("h", qubit(1)), mz(1, 1), mz(n - 1, 2)]
     source = program(lines, n, [0, 1, 2], 3)
-    assert_matches_reference(source, shots=24, seed=3)
+    misses = []  # per trie miss of run_program: (path, walk, amplitude 0 after allocate)
 
-    module = parse_module(source)
-    entry = find_entry(module)
-    compiled = compile_program(module, entry, default_registry())
-    trie = OutcomeTrie()
-    walked = 0
-    for shot_index in range(8):
-        path = ShotPath(shot_rng(3, shot_index), trie)
-        if path.leaf is None:
-            backend = StatevectorBackend()
-            backend.allocate(n, path=path)
-            assert path.start is None and backend.amplitudes[0] == 1.0
-            walked += bool(path.walk)
-            path.seal(execute_shot(compiled, backend, ShotRecorder()))
+    def shot_path(rng, walk, tail, trie):
+        misses.append([ShotPath(rng, walk, tail, trie), walk])
+        return misses[-1][0]
+
+    real_allocate = StatevectorBackend.allocate
+
+    def allocate(backend, num_qubits, rng=None, path=None):
+        real_allocate(backend, num_qubits, rng, path)
+        if path is not None:  # run_program's miss; the reference loop passes rng
+            misses[-1].append(backend.amplitudes[0])
+
+    with mock.patch.object(interpreter, "ShotPath", shot_path), \
+            mock.patch.object(StatevectorBackend, "allocate", allocate):
+        assert_matches_reference(source, shots=24, seed=3)
+    assert misses and all(path.start is None and amplitude == 1.0
+                          for path, _, amplitude in misses)
+    trie = misses[0][0].trie
     assert trie.nodes > 0 and trie.stored_amplitudes == 0
-    assert walked > 0  # some misses replayed a walk without a stored state
+    assert any(walk for _, walk, _ in misses)  # some replayed a walk with no stored state
 
 
 def test_step_limit_hit_on_one_history_only():

@@ -102,6 +102,13 @@ def test_run_config_rejects_a_seed_that_is_not_a_non_negative_int(seed):
         RunConfig(seed=seed)
 
 
+# shots=True ran one shot; 2.5 and "3" failed with a TypeError inside run_program
+@pytest.mark.parametrize("shots", [True, False, 0, -1, 2.5, "3", None])
+def test_run_config_rejects_shots_that_are_not_a_positive_int(shots):
+    with pytest.raises(ValueError, match="shots must be a positive int"):
+        RunConfig(shots=shots)
+
+
 def test_read_unmeasured_result_faults():
     src = make_program(
         "entry:\n"

@@ -4,7 +4,7 @@ Draws are compared as uint64 views, so two floats only match when every
 bit does.  Seeds run from one 32-bit entropy word to seven, so
 SeedSequence's tail mixing (more than four words) runs; shot ranges
 straddle 2**32, where a shot index gains a second word, and the run's
-chunk boundaries.
+chunk boundaries.  The Generator built for a row continues its stream.
 """
 
 import numpy as np
@@ -50,9 +50,14 @@ def test_draws_equal_shot_rng_bit_for_bit(seed, first, count, draws):
 def test_advancing_some_rows_leaves_the_others_alone(seed, first, data):
     count = data.draw(st.integers(1, 32))
     advanced = np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
-    expected = reference(seed, first, count, 2)
+    expected = reference(seed, first, count, 4)
     streams = ShotStreams(seed, first, count)
     head = streams.random(np.flatnonzero(advanced))
+    # a trie miss continues its row's stream from there in a Generator
+    for row in range(count):
+        taken = int(advanced[row])
+        continued = streams.generator(row).random(3)
+        assert np.array_equal(bits(continued), bits(expected[row, taken:taken + 3]))
     after = streams.random(np.arange(count))
     assert np.array_equal(bits(head), bits(expected[advanced, 0]))
     assert np.array_equal(bits(after), bits(np.where(advanced, expected[:, 1], expected[:, 0])))
