@@ -23,7 +23,7 @@ from .gates import gate_matrix
 from .interpreter import RunConfig, execute_shot, run_program, shot_rng
 from .parser import parse_module
 from .recorder import RunResult, ShotRecorder, aggregate, emit_json
-from .registry import GateId, OpKind, OpSpec, Registry, Unresolved, default_registry
+from .registry import GateId, OpKind, OpSpec, Registry, default_registry
 
 __all__ = [
     "AmbiguousEntry",
@@ -43,7 +43,6 @@ __all__ = [
     "StatevectorBackend",
     "TraceBackend",
     "UnknownBackend",
-    "Unresolved",
     "aggregate",
     "available_backends",
     "compile_program",

@@ -19,7 +19,7 @@ from .ir import (
     QubitRef,
     ResultRef,
 )
-from .registry import OpKind, Registry, Unresolved
+from .registry import OpKind, Registry
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class Program:
 
 def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
     """Why `call`, resolved to `spec`, cannot run in `entry`, or None."""
-    if isinstance(spec, Unresolved):
+    if spec is None:
         return f"call to unresolved function @{call.callee}"
     got = tuple(arg.kind for arg in call.args)
     if got != spec.operands:

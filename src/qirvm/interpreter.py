@@ -8,6 +8,7 @@ Shots are therefore order-independent: a shot whose outcome history an
 earlier shot already ran reuses that work (see OutcomeTrie), and a shot
 that misses replays the outcomes recorded on its walk and continues the
 stream that routed it, so each gets the output it would compute alone.
+A shot that takes more than STEP_LIMIT steps faults.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .recorder import aggregate  # noqa: F401  (public name of this module too)
 from .registry import OpKind, Registry
 
 DEFAULT_SHOTS = 1024
-DEFAULT_STEP_LIMIT = 10 ** 7
+STEP_LIMIT = 10 ** 7  # steps one shot may take; read by execute_shot at each call
 SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 
 # Identifies the per-shot stream, numpy PCG64 seeded with SeedSequence([seed, shot_index]):
@@ -39,7 +40,6 @@ class RunConfig:
     shots: int = DEFAULT_SHOTS
     seed: int = 0
     backend_choice: str = "statevector"
-    step_limit: int = DEFAULT_STEP_LIMIT
     per_shot: bool = False
 
     def __post_init__(self):
@@ -140,17 +140,12 @@ def _result_bit(bits: list, index: int) -> int:
     return bit
 
 
-def execute_shot(
-    program: Program,
-    backend,
-    recorder: ShotRecorder,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> ShotOutput:
-    """Run `program` once; backend must already be allocated."""
+def execute_shot(program: Program, backend, recorder: ShotRecorder) -> ShotOutput:
+    """Run `program` once, for at most STEP_LIMIT steps; backend must be allocated."""
     ssa = {}
     bits = [None] * program.num_results
     steps, cursor = program.blocks[0], 0
-    for _ in range(step_limit):
+    for _ in range(STEP_LIMIT):
         code, *args = steps[cursor]
         cursor += 1
         if code is OpKind.GATE:
@@ -182,7 +177,7 @@ def execute_shot(
         elif code is Control.FAULT:
             raise RuntimeFault(args[0])
         # OpKind.INITIALIZE does nothing
-    raise RuntimeFault(f"step limit of {step_limit} exceeded")
+    raise RuntimeFault(f"step limit of {STEP_LIMIT} exceeded")
 
 
 def run_program(
@@ -217,8 +212,7 @@ def run_program(
                 backend = create_backend(config.backend_choice)
                 backend.allocate(entry.num_qubits, path=path)
                 try:
-                    held = execute_shot(program, backend, ShotRecorder(),
-                                        step_limit=config.step_limit)
+                    held = execute_shot(program, backend, ShotRecorder())
                 except RuntimeFault as fault:
                     raise RuntimeFault(f"shot {first + low}: {fault}") from fault
                 path.seal(held)

@@ -38,7 +38,7 @@ from .ir import (
     ReturnVoid,
     TERMINATORS,
 )
-from .registry import Registry, Unresolved, default_registry
+from .registry import Registry, default_registry
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -497,7 +497,7 @@ class _Parser:
         signature, or the signature wants a non-pointer there.
         """
         spec = self.registry.resolve(callee)
-        if isinstance(spec, Unresolved) or index >= len(spec.operands):
+        if spec is None or index >= len(spec.operands):
             return None
         kind = spec.operands[index]
         return kind if kind in _PTR_OPERAND_KINDS else None

@@ -4,10 +4,12 @@ The registry is the dispatch table between parsed call instructions and
 backend operations.  It is built once during setup, optionally extended
 with custom operations, then frozen and shared across shot executors.
 
-It is also the one place that states an operation's operand signature
-(`OpSpec.operands`, from GATE_SHAPES for gates): the parser types opaque
-`ptr` operands by it, the validator checks every call against it, and the
-gate layer and backends take gate arity from GATE_SHAPES.
+An OpSpec is a kind and, for a gate, a GateId; everything else about it
+is derived.  It is the one place that states an operation's operand
+signature (`OpSpec.operands`, from GATE_SHAPES for gates): the parser types
+opaque `ptr` operands by it, the validator checks every call against it,
+and the gate layer and backends take gate arity from GATE_SHAPES.  A name
+the registry does not hold resolves to None.
 """
 
 from __future__ import annotations
@@ -76,82 +78,53 @@ _KIND_OPERANDS = {
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One operation: its kind, its gate if any, and whether it binds an i1.
+    """One operation: its kind and, for a gate, its GateId.
 
-    `num_qubits` and `num_params` follow from the kind (and, for a gate,
-    from GATE_SHAPES); left out they are filled in, and given values that
-    disagree raise ValueError.
+    The rest follows from those two: the operand signature from GATE_SHAPES
+    or _KIND_OPERANDS, and only READ_RESULT binds an i1.
     """
 
     kind: OpKind
     gate_id: Optional[GateId] = None
-    num_qubits: Optional[int] = None
-    num_params: Optional[int] = None
-    returns_bool: bool = False
 
     def __post_init__(self):
-        if self.kind is OpKind.GATE:
-            if self.gate_id not in GATE_SHAPES:
-                raise ValueError(f"a gate spec needs a GateId, got {self.gate_id!r}")
-            num_params, num_qubits = GATE_SHAPES[self.gate_id]
-        else:
-            operands = _KIND_OPERANDS[self.kind]
-            num_params, num_qubits = operands.count("double"), operands.count("qubit")
-        for name, value in (("num_params", num_params), ("num_qubits", num_qubits)):
-            given = getattr(self, name)
-            if given is None:
-                object.__setattr__(self, name, value)
-            elif given != value:
-                what = self.gate_id.name if self.gate_id is not None else self.kind.value
-                raise ValueError(f"{what} has {name}={value}, got {given}")
+        if (self.kind is OpKind.GATE) != (self.gate_id in GATE_SHAPES):
+            raise ValueError(f"a GateId is given exactly for a gate spec, "
+                             f"got {self.kind.value} with {self.gate_id!r}")
 
     @property
     def operands(self) -> tuple:
         """The kind of each call operand, in order."""
         if self.kind is OpKind.GATE:
-            return ("double",) * self.num_params + ("qubit",) * self.num_qubits
+            num_params, num_qubits = GATE_SHAPES[self.gate_id]
+            return ("double",) * num_params + ("qubit",) * num_qubits
         return _KIND_OPERANDS[self.kind]
 
+    @property
+    def num_params(self) -> int:
+        return self.operands.count("double")
 
-@dataclass(frozen=True)
-class Unresolved:
-    """Lookup miss; carries the name for diagnostics."""
+    @property
+    def num_qubits(self) -> int:
+        return self.operands.count("qubit")
 
-    name: str
+    @property
+    def returns_bool(self) -> bool:
+        return self.kind is OpKind.READ_RESULT
 
 
-# unmangled name -> gate; adjoints get the __adj suffix below.
+_ADJOINTS = {"s": GateId.SDG, "t": GateId.TDG}  # registered with the __adj suffix
+
+# unmangled name -> gate: every other gate by its value, plus two aliases
 _DEFAULT_GATES = {
-    "h": GateId.H,
-    "x": GateId.X,
-    "y": GateId.Y,
-    "z": GateId.Z,
-    "s": GateId.S,
-    "t": GateId.T,
-    "sy": GateId.SY,
-    "rx": GateId.RX,
-    "ry": GateId.RY,
-    "rz": GateId.RZ,
-    "rzz": GateId.RZZ,
-    "cnot": GateId.CNOT,
+    **{gate.value: gate for gate in GateId if gate not in _ADJOINTS.values()},
     "cx": GateId.CNOT,
-    "cy": GateId.CY,
-    "cz": GateId.CZ,
     "ccx": GateId.CCNOT,
-    "ccnot": GateId.CCNOT,
-    "swap": GateId.SWAP,
-    "zz": GateId.ZZ,
-    "xx": GateId.XX,
-}
-
-_ADJOINTS = {
-    "s": GateId.SDG,
-    "t": GateId.TDG,
 }
 
 MEASURE_SPEC = OpSpec(OpKind.MEASURE)
 RESET_SPEC = OpSpec(OpKind.RESET)
-READ_RESULT_SPEC = OpSpec(OpKind.READ_RESULT, returns_bool=True)
+READ_RESULT_SPEC = OpSpec(OpKind.READ_RESULT)
 
 _RUNTIME = {
     "__quantum__rt__initialize": OpSpec(OpKind.INITIALIZE),
@@ -161,8 +134,8 @@ _RUNTIME = {
 
 
 class Registry:
-    def __init__(self, table: Optional[dict] = None):
-        self._table = dict(table or {})
+    def __init__(self):
+        self._table = {}
         self._frozen = False
 
     def freeze(self) -> "Registry":
@@ -179,10 +152,9 @@ class Registry:
         self._table[name] = spec
         return replaced
 
-    def resolve(self, name: str):
-        """Exact-match lookup; returns OpSpec or Unresolved(name)."""
-        spec = self._table.get(name)
-        return spec if spec is not None else Unresolved(name)
+    def resolve(self, name: str) -> Optional[OpSpec]:
+        """Exact-match lookup: the OpSpec registered as `name`, or None."""
+        return self._table.get(name)
 
     def names(self) -> frozenset:
         return frozenset(self._table)

@@ -108,10 +108,7 @@ class TestValidateProfile:
         module = parse_module(src)
         entry = find_entry(module)
         assert validate_profile(module, entry, registry) != []
-        registry.register(
-            "__quantum__qis__mygate__body",
-            OpSpec(OpKind.GATE, GateId.RX, num_qubits=1, num_params=1),
-        )
+        registry.register("__quantum__qis__mygate__body", OpSpec(OpKind.GATE, GateId.RX))
         assert validate_profile(module, entry, registry) == []
 
     def test_arity_mismatch(self, registry):

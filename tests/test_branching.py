@@ -111,7 +111,7 @@ def program(lines, num_qubits, recorded, num_results):
     )
 
 
-def reference(module, entry, shots, seed, step_limit=10 ** 7):
+def reference(module, entry, shots, seed):
     """Plain per-shot loop: JSON text, or the fault run_program must raise."""
     compiled = compile_program(module, entry, default_registry())
     outputs = []
@@ -119,8 +119,7 @@ def reference(module, entry, shots, seed, step_limit=10 ** 7):
         backend = StatevectorBackend()
         backend.allocate(entry.num_qubits, rng=shot_rng(seed, shot_index))
         try:
-            outputs.append(execute_shot(compiled, backend, ShotRecorder(),
-                                        step_limit=step_limit))
+            outputs.append(execute_shot(compiled, backend, ShotRecorder()))
         except RuntimeFault as fault:
             return RuntimeFault(f"shot {shot_index}: {fault}")
     return emit_json(aggregate(
@@ -135,11 +134,11 @@ def reference(module, entry, shots, seed, step_limit=10 ** 7):
     ))
 
 
-def assert_matches_reference(source, shots, seed, step_limit=10 ** 7):
+def assert_matches_reference(source, shots, seed):
     module = parse_module(source)
     entry = find_entry(module)
-    expected = reference(module, entry, shots, seed, step_limit)
-    config = RunConfig(shots=shots, seed=seed, per_shot=True, step_limit=step_limit)
+    expected = reference(module, entry, shots, seed)
+    config = RunConfig(shots=shots, seed=seed, per_shot=True)
     if isinstance(expected, RuntimeFault):
         with pytest.raises(RuntimeFault) as raised:
             run_program(module, entry, default_registry(), config)
@@ -297,8 +296,8 @@ def test_step_limit_hit_on_one_history_only():
              f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})",
              "  br i1 %c, label %spin, label %done",
              "spin:", "  br label %spin", "done:"]
-    fault = assert_matches_reference(program(lines, 1, [0], 1), shots=16, seed=0,
-                                     step_limit=500)
+    with mock.patch.object(interpreter, "STEP_LIMIT", 500):
+        fault = assert_matches_reference(program(lines, 1, [0], 1), shots=16, seed=0)
     assert "step limit of 500 exceeded" in str(fault)
     assert not str(fault).startswith("shot 0:")  # earlier shots were sealed first
 

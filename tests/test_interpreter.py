@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from qirvm import (
     shot_rng,
     validate_profile,
 )
+from qirvm import interpreter
+from qirvm.analyze import Control
+from qirvm.ir import render_module
 
 from conftest import make_program
 
@@ -139,9 +144,30 @@ def test_step_limit_guards_block_cycles():
     src = make_program("entry:\n  br label %loop\nloop:\n  br label %loop")
     module = parse_module(src)
     entry = find_entry(module)
-    config = RunConfig(shots=1, step_limit=1000)
-    with pytest.raises(RuntimeFault, match="step limit"):
-        run_program(module, entry, default_registry(), config)
+    with mock.patch.object(interpreter, "STEP_LIMIT", 1000), \
+            pytest.raises(RuntimeFault, match="step limit of 1000 exceeded"):
+        run_program(module, entry, default_registry(), RunConfig(shots=1))
+
+
+@pytest.mark.parametrize("cond,taken,bit", [("true", "one", "1"), ("false", "zero", "0")])
+def test_constant_condition_branch_is_a_jump_to_the_named_block(cond, taken, bit):
+    src = make_program(
+        f"entry:\n  br i1 {cond}, label %one, label %zero\n"
+        "one:\n  call void @__quantum__qis__x__body(%Qubit* null)\n  br label %zero\n"
+        "zero:\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+        "  call void @__quantum__rt__result_record_output(%Result* null, i8* null)\n"
+        "  ret void",
+        declarations=MEASURE_DECLS,
+        attrs=ENTRY_1Q,
+    )
+    module = parse_module(src)
+    assert parse_module(render_module(module)) == module
+    entry = find_entry(module)
+    labels = [block.label for block in module.function(entry.function_name).blocks]
+    program = compile_program(module, entry, default_registry())
+    assert program.blocks[0] == ((Control.JUMP, labels.index(taken)),)
+    assert run(src, shots=8).histogram == {bit: 8}
 
 
 def test_teleport_executes_10_to_12_qis_calls_per_shot(teleport_module, teleport_entry):

@@ -18,6 +18,11 @@ from qirvm.ir import (
 from qirvm.parser import parse_double_literal
 
 from conftest import QPE_LL, TELEPORT_LL, make_program
+from test_properties import FUZZ_BASE
+
+# FUZZ_BASE with its label payload holding a quote, a backslash and a newline
+ESCAPED_LABEL = FUZZ_BASE.replace("[3 x i8]", "[6 x i8]").replace(
+    'c"r0\\00"', 'c"\\22\\5C\\0Ar0\\00"')
 
 
 class TestTeleportProgram:
@@ -249,7 +254,8 @@ class TestDoubleLiteral:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("source", [TELEPORT_LL, QPE_LL], ids=["teleport", "qpe"])
+    @pytest.mark.parametrize("source", [TELEPORT_LL, QPE_LL, FUZZ_BASE, ESCAPED_LABEL],
+                             ids=["teleport", "qpe", "teleport-labelled", "escaped-label"])
     def test_parse_print_parse_fixpoint(self, source):
         module = parse_module(source)
         assert parse_module(render_module(module)) == module

@@ -1,6 +1,6 @@
 import pytest
 
-from qirvm import GateId, OpKind, OpSpec, Unresolved, default_registry
+from qirvm import GateId, OpKind, OpSpec, default_registry
 
 # the complete default name set, enumerated independently of the builder
 EXPECTED_NAMES = (
@@ -30,7 +30,8 @@ def test_default_name_set_is_exact():
 
 def test_hadamard_spec():
     spec = default_registry().resolve("__quantum__qis__h__body")
-    assert spec == OpSpec(OpKind.GATE, GateId.H, num_qubits=1, num_params=0)
+    assert spec == OpSpec(OpKind.GATE, GateId.H)
+    assert (spec.num_qubits, spec.num_params) == (1, 0)
 
 
 def test_rz_spec():
@@ -57,7 +58,7 @@ def test_record_result_spec():
 def test_alias_coherence(a, b):
     reg = default_registry()
     assert reg.resolve(a) == reg.resolve(b)
-    assert not isinstance(reg.resolve(a), Unresolved)
+    assert reg.resolve(a) is not None
 
 
 def test_every_gate_id_reachable():
@@ -65,19 +66,18 @@ def test_every_gate_id_reachable():
     reachable = {
         spec.gate_id
         for spec in (reg.resolve(n) for n in reg.names())
-        if not isinstance(spec, Unresolved) and spec.kind is OpKind.GATE
+        if spec.kind is OpKind.GATE
     }
     assert reachable == set(GateId)
 
 
-def test_unresolved_carries_name():
-    miss = default_registry().resolve("__quantum__qis__nope__body")
-    assert miss == Unresolved("__quantum__qis__nope__body")
+def test_unregistered_name_resolves_to_none():
+    assert default_registry().resolve("__quantum__qis__nope__body") is None
 
 
 def test_register_then_resolve():
     reg = default_registry()
-    spec = OpSpec(OpKind.GATE, GateId.RZ, num_qubits=1, num_params=1)
+    spec = OpSpec(OpKind.GATE, GateId.RZ)
     replaced = reg.register("__quantum__qis__mygate__body", spec)
     assert replaced is False
     assert reg.resolve("__quantum__qis__mygate__body") == spec
@@ -85,7 +85,7 @@ def test_register_then_resolve():
 
 def test_overwrite_reports_replacement():
     reg = default_registry()
-    new_spec = OpSpec(OpKind.GATE, GateId.X, num_qubits=1)
+    new_spec = OpSpec(OpKind.GATE, GateId.X)
     assert reg.register("__quantum__qis__h__body", new_spec) is True
     assert reg.resolve("__quantum__qis__h__body") == new_spec
 
@@ -93,9 +93,9 @@ def test_overwrite_reports_replacement():
 def test_frozen_registry_rejects_writes():
     reg = default_registry().freeze()
     with pytest.raises(RuntimeError):
-        reg.register("__quantum__qis__late__body", OpSpec(OpKind.RESET, num_qubits=1))
+        reg.register("__quantum__qis__late__body", OpSpec(OpKind.RESET))
 
 
 def test_empty_name_rejected():
     with pytest.raises(ValueError):
-        default_registry().register("", OpSpec(OpKind.RESET, num_qubits=1))
+        default_registry().register("", OpSpec(OpKind.RESET))

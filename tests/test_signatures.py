@@ -6,9 +6,11 @@ from qirvm import (
     GateId,
     OpKind,
     OpSpec,
+    RunConfig,
     default_registry,
     find_entry,
     parse_module,
+    run_program,
     validate_profile,
 )
 from qirvm.ir import QubitRef, ResultRef
@@ -66,6 +68,45 @@ def test_custom_measure_intrinsic_in_opaque_spelling():
     assert call.args == (QubitRef(0), ResultRef(1))
 
 
+MYREAD = "__quantum__qis__myread__body"
+
+
+def myread_program(binding):
+    return make_program(
+        "entry:\n"
+        "  call void @__quantum__qis__h__body(%Qubit* null)\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+        f"  {binding} @{MYREAD}(%Result* null)\n"
+        "  br i1 %0, label %one, label %done\n"
+        "one:\n  call void @__quantum__qis__x__body(%Qubit* inttoptr (i64 1 to %Qubit*))\n"
+        "  br label %done\n"
+        "done:\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* inttoptr (i64 1 to %Qubit*), "
+        "%Result* inttoptr (i64 1 to %Result*))\n"
+        "  call void @__quantum__rt__array_record_output(i64 2, i8* null)\n"
+        "  call void @__quantum__rt__result_record_output(%Result* null, i8* null)\n"
+        "  call void @__quantum__rt__result_record_output(%Result* inttoptr (i64 1 to %Result*), "
+        "i8* null)\n"
+        "  ret void",
+        attrs='"entry_point" "num_required_qubits"="2" "num_required_results"="2"',
+    )
+
+
+def test_custom_read_result_intrinsic_binds_an_i1_and_branches_on_it():
+    registry = default_registry()
+    registry.register(MYREAD, OpSpec(OpKind.READ_RESULT))
+    module = parse_module(myread_program("%0 = call i1"), registry)
+    entry = find_entry(module)
+    assert validate_profile(module, entry, registry) == []
+    for seed in range(3):
+        result = run_program(module, entry, registry, RunConfig(shots=32, seed=seed))
+        assert result.histogram.keys() == {"00", "11"}  # result 1 copies the branch taken
+    unbound = parse_module(myread_program("call void"), registry)
+    diagnostics = validate_profile(unbound, find_entry(unbound), registry)
+    assert [d.message for d in diagnostics if d.severity == "error"] == [
+        f"@{MYREAD} return-binding mismatch"]
+
+
 def test_unregistered_ptr_operand_stays_a_qubit_and_fails_validation():
     src = make_program(
         "entry:\n  call void @__quantum__qis__mine__body(ptr null, ptr inttoptr (i64 1 to ptr))\n"
@@ -87,18 +128,17 @@ def test_opaque_declaration_params_take_the_signature():
 
 
 def test_gate_spec_shape_comes_from_the_gate_table():
-    assert OpSpec(OpKind.GATE, GateId.RZZ) == OpSpec(OpKind.GATE, GateId.RZZ, 2, 1)
-    assert OpSpec(OpKind.GATE, GateId.RZZ).operands == ("double", "qubit", "qubit")
+    rzz = OpSpec(OpKind.GATE, GateId.RZZ)
+    assert (rzz.num_qubits, rzz.num_params) == (2, 1)
+    assert rzz.operands == ("double", "qubit", "qubit")
     assert OpSpec(OpKind.MEASURE).operands == ("qubit", "result")
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(kind=OpKind.GATE, gate_id=GateId.CNOT, num_qubits=1),
-        dict(kind=OpKind.GATE, gate_id=GateId.RX, num_params=0),
         dict(kind=OpKind.GATE),
-        dict(kind=OpKind.MEASURE, num_qubits=2),
+        dict(kind=OpKind.MEASURE, gate_id=GateId.X),
     ],
 )
 def test_spec_disagreeing_with_its_shape_is_rejected_when_built(kwargs):
