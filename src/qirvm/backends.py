@@ -21,6 +21,11 @@ DEFAULT_MAX_QUBITS = 24
 class StatevectorBackend:
     """Exact simulation over all 2^n complex amplitudes.
 
+    Gates update the state in place as 2x2 matrices on pairs of slices
+    (`_apply_2x2`, through the two `scratch` rows), since a fresh state per
+    gate ties the speed to the C heap's layout; only rzz, zz and xx build
+    one (`_apply_matrix`).  README, Gate kernels, lists the forms.
+
     Measurement consumes exactly one uniform draw per call (outcome 1 iff
     u < p1; routing made the draw of a replayed one), keeping the RNG
     stream portable and countable.
@@ -54,10 +59,25 @@ class StatevectorBackend:
 
     def apply_gate(self, gate_id: GateId, params, targets):
         """Apply a gate to distinct in-range targets, as compile_program checks."""
-        if self.amplitudes is not None:
-            self.amplitudes = _apply_matrix(
-                self.amplitudes, gate_matrix(gate_id, params), targets, self.n, self.scratch
-            )
+        state = self.amplitudes
+        if state is None:
+            return
+        if len(targets) == 1:
+            psi = state.reshape(-1, 2, 1 << targets[0])
+            _apply_2x2(psi[:, 0, :], psi[:, 1, :], gate_matrix(gate_id, params), self.scratch)
+        elif gate_id in _PAIRED:
+            n = self.n
+            psi = state.reshape([2] * n)
+            idx = [slice(None)] * n
+            for q in targets[:-2]:  # ccnot's first control
+                idx[n - 1 - q] = 1
+            a, b = (n - 1 - q for q in targets[-2:])
+            idx[a], idx[b] = 1, 0
+            zero = psi[(*idx, ...)]  # `...` keeps a view when every axis is indexed
+            idx[a], idx[b] = (0, 1) if gate_id is GateId.SWAP else (1, 1)
+            _apply_2x2(zero, psi[(*idx, ...)], gate_matrix(_PAIRED[gate_id]), self.scratch)
+        else:
+            self.amplitudes = _apply_matrix(state, gate_matrix(gate_id, params), targets, self.n)
 
     def _prob_one(self, qubit: int) -> float:
         # view with the measured qubit as the middle axis
@@ -167,28 +187,48 @@ class ShotPath:
             slots[slot] = output
 
 
-def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int,
-                  scratch: np.ndarray) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the targeted qubit subspace.
+# A controlled gate applies its base gate to the target's slices where every
+# control is 1; swap applies X to the |10> and |01> slices.
+_PAIRED = {GateId.CNOT: GateId.X, GateId.CCNOT: GateId.X, GateId.CY: GateId.Y,
+           GateId.CZ: GateId.Z, GateId.SWAP: GateId.X}
 
-    A one-qubit gate updates `state` in place, through the two rows of
-    `scratch` (2 x 2^(n-1)), and returns it, so it allocates nothing: a
-    fresh 2^n array per gate makes the run's speed depend on the C heap's
-    layout.  Each half is still m0*zero + m1*one, the same float
-    operations, so the result is bit-identical.
+
+def _apply_2x2(zero: np.ndarray, one: np.ndarray, matrix: np.ndarray, scratch: np.ndarray):
+    """Apply a 2x2 matrix in place to the views `zero` and `one` of a state.
+
+    A diagonal matrix is two in-place multiplies, an antidiagonal one a
+    multiply per half through a `scratch` row, any other m0*zero + m1*one.
+    The bits are the allocating formula's, but for the sign of exact zeros.
+    Every multiply puts the scalar first, as the formula does, and none
+    works in place on one element: numpy rounds either of those differently.
     """
-    if len(targets) == 1:
-        psi = state.reshape(-1, 2, 1 << targets[0])
-        zero, one = psi[:, 0, :], psi[:, 1, :]
-        new_zero, term = (row.reshape(zero.shape) for row in scratch)
+    size = zero.size
+    if matrix[0, 1] == 0 and matrix[1, 0] == 0 and size > 1:
+        np.multiply(matrix[0, 0], zero, out=zero)
+        np.multiply(matrix[1, 1], one, out=one)
+        return
+    new_zero = scratch[0, :size].reshape(zero.shape)
+    if matrix[0, 0] == 0 and matrix[1, 1] == 0:
+        np.multiply(matrix[0, 1], one, out=new_zero)
+        np.multiply(matrix[1, 0], zero, out=one)
+    else:
+        term = scratch[1, :size].reshape(zero.shape)
         np.multiply(matrix[0, 0], zero, out=new_zero)
         np.multiply(matrix[0, 1], one, out=term)
         np.add(new_zero, term, out=new_zero)
-        np.multiply(matrix[1, 0], zero, out=term)
-        np.multiply(matrix[1, 1], one, out=one)
-        np.add(term, one, out=one)
-        zero[...] = new_zero
-        return state
+        np.multiply(matrix[1, 1], one, out=term)
+        np.multiply(matrix[1, 0], zero, out=one)
+        np.add(one, term, out=one)
+    zero[...] = new_zero
+
+
+def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:
+    """Return a new state with a 2^k x 2^k matrix applied to the targets' subspace.
+
+    Only rzz, zz and xx take this path: their entries are non-trivial
+    complex numbers, and BLAS may round `matrix @ psi` differently from
+    elementwise multiplies, so moving them would change result bits.
+    """
     k = len(targets)
     axes = [n - 1 - q for q in targets]  # axis order matches matrix bit order
     rest = [a for a in range(n) if a not in axes]

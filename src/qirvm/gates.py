@@ -47,13 +47,13 @@ def _ry(theta: float) -> np.ndarray:
 
 
 def _rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
+    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
 
 
 def _rzz(theta: float) -> np.ndarray:
     # exp(-i theta (Z(x)Z) / 2): |00>,|11> pick up -theta/2; |01>,|10> +theta/2
     a, b = np.exp(-0.5j * theta), np.exp(0.5j * theta)
-    return np.diag([a, b, b, a]).astype(complex)
+    return np.array([[a, 0, 0, 0], [0, b, 0, 0], [0, 0, b, 0], [0, 0, 0, a]], dtype=complex)
 
 
 def _toffoli() -> np.ndarray:

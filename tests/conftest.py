@@ -91,3 +91,23 @@ def parse_json(text: str) -> RunResult:
         labels=tuple(doc["labels"]) if doc["labels"] is not None else None,
         per_shot=tuple(doc["per_shot"]) if doc["per_shot"] is not None else None,
     )
+
+
+def allocating_apply(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:
+    """Return a new state with `matrix` applied, by the allocating formula.
+
+    A one-qubit gate computes m0*zero + m1*one for each half; a wider gate
+    transposes its target axes to the front, multiplies by `matrix` and
+    transposes back.  The in-place kernels of StatevectorBackend must give
+    the same bits, except the sign of exact zeros.
+    """
+    if len(targets) == 1:
+        psi = state.reshape(-1, 2, 1 << targets[0])
+        zero, one = psi[:, 0, :], psi[:, 1, :]
+        return np.stack([matrix[0, 0] * zero + matrix[0, 1] * one,
+                         matrix[1, 0] * zero + matrix[1, 1] * one], axis=1).reshape(-1)
+    k = len(targets)
+    perm = [n - 1 - q for q in targets]  # axis order matches matrix bit order
+    perm += [a for a in range(n) if a not in perm]
+    psi = state.reshape([2] * n).transpose(perm).reshape(2 ** k, -1)
+    return (matrix @ psi).reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from qirvm import (
 from qirvm.backends import DEFAULT_MAX_QUBITS
 from qirvm.registry import GATE_SHAPES
 
-from conftest import make_program, qpe_reference_distribution
+from conftest import allocating_apply, make_program, qpe_reference_distribution
 
 
 def fresh(n, seed=0):
@@ -262,6 +264,44 @@ def test_one_qubit_gates_match_the_allocating_formula_bit_for_bit(n):
                                  m[1, 0] * zero + m[1, 1] * one], axis=1).reshape(-1)
             sv.apply_gate(gate, params, (q,))
             assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64))
+
+
+def every_gate_application(rng, n):
+    """Each gate of GATE_SHAPES with random angles on every ordered target tuple."""
+    for gate, (num_params, num_qubits) in GATE_SHAPES.items():
+        for targets in itertools.permutations(range(n), num_qubits):
+            params = tuple(float(x) for x in rng.uniform(-2 * np.pi, 2 * np.pi, num_params))
+            yield gate, params, targets
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_gate_class_matches_the_allocating_formula_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for gate, params, targets in every_gate_application(rng, n):
+        sv = fresh(n)
+        sv.amplitudes = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)  # no zeros
+        expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
+        sv.apply_gate(gate, params, targets)
+        assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64)), \
+            (gate, targets)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_gate_class_matches_the_allocating_formula_after_a_projection(n):
+    # mz writes exact zeros, whose sign alone may differ from the formula's
+    rng = np.random.default_rng(200 + n)
+    for gate, params, targets in every_gate_application(rng, n):
+        sv = fresh(n, seed=int(rng.integers(1 << 30)))
+        state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        sv.amplitudes = state / np.linalg.norm(state)
+        sv.measure(int(rng.integers(n)))
+        expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
+        sv.apply_gate(gate, params, targets)
+        assert np.array_equal(sv.amplitudes, expected), (gate, targets)
+        parts, expected_parts = sv.amplitudes.view(np.float64), expected.view(np.float64)
+        nonzero = expected_parts != 0
+        assert np.array_equal(parts[nonzero].view(np.uint64),
+                              expected_parts[nonzero].view(np.uint64)), (gate, targets)
 
 
 def test_create_backend_factory():
