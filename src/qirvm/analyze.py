@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,6 +14,7 @@ from .ir import (
     Branch,
     Call,
     CondBranch,
+    DoubleConst,
     FunctionDef,
     LabelConst,
     ProgramModule,
@@ -157,6 +159,8 @@ def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
         if isinstance(arg, ResultRef) and arg.index >= entry.num_results:
             return (f"result index {arg.index} out of range "
                     f"(program declares {entry.num_results} results)")
+        if isinstance(arg, DoubleConst) and not math.isfinite(arg.value):
+            return f"@{call.callee} takes a non-finite double operand ({arg.value})"
     return None
 
 

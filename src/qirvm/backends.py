@@ -3,11 +3,12 @@
 A backend instance is exclusively owned by a single shot execution; the
 factory hands out a fresh instance per shot.  Basis convention: qubit i
 is bit i of the little-endian amplitude index.
+The protocol: allocate(n, state=None), apply_gate, measure(qubit, choose)
+and reset(qubit, choose).  A backend holds no RNG and no trie: the
+interpreter's draw choose(p1, amplitudes) returns each outcome.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -26,42 +27,35 @@ class StatevectorBackend:
     gate ties the speed to the C heap's layout; only rzz, zz and xx build
     one (`_apply_matrix`).  README, Gate kernels, lists the forms.
 
-    Measurement consumes exactly one uniform draw per call (outcome 1 iff
-    u < p1; routing made the draw of a replayed one), keeping the RNG
-    stream portable and countable.
+    Each measurement asks `choose` for its outcome exactly once, with p1
+    computed from the current state, and projects onto that outcome.
     """
 
     def __init__(self):
         self.n = 0
         self.amplitudes = None
         self.scratch = None
-        self.path = None
 
     def name(self) -> str:
         return "statevector"
 
-    def allocate(self, num_qubits: int, rng: Optional[np.random.Generator] = None,
-                 path: Optional["ShotPath"] = None):
-        """Start a shot; with `path`, its walk, stream and trie replace `rng`."""
+    def allocate(self, num_qubits: int, state=None):
+        """Start a shot in |0...0>, or in a copy of the 2^n amplitudes `state`."""
         if num_qubits > DEFAULT_MAX_QUBITS:
             raise RuntimeFault(
                 f"{num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
             )
         self.n = num_qubits
         self.scratch = np.empty((2, 2 ** max(num_qubits - 1, 0)), dtype=complex)
-        self.path = path if path is not None else ShotPath(rng)
-        # While replaying a walk that ends in a stored state, amplitudes stay
-        # None (gates are skipped) until the measurement that loads it.
-        self.amplitudes = None
-        if self.path.start is None:
+        if state is None:
             self.amplitudes = np.zeros(2 ** max(num_qubits, 0), dtype=complex)
             self.amplitudes[0] = 1.0
+        else:
+            self.amplitudes = state.copy()
 
     def apply_gate(self, gate_id: GateId, params, targets):
         """Apply a gate to distinct in-range targets, as compile_program checks."""
         state = self.amplitudes
-        if state is None:
-            return
         if len(targets) == 1:
             psi = state.reshape(-1, 2, 1 << targets[0])
             _apply_2x2(psi[:, 0, :], psi[:, 1, :], gate_matrix(gate_id, params), self.scratch)
@@ -85,21 +79,9 @@ class StatevectorBackend:
         branch = psi[:, 1, :]
         return float(np.real(np.einsum("ij,ij->", branch, branch.conj())))
 
-    def measure(self, qubit: int) -> int:
-        path = self.path
-        node, outcome = next(path.replay, (None, None))
-        if node is not None:  # replay the walk's recorded outcome
-            p1 = node.p1
-            if self.amplitudes is None:
-                if node is not path.start:
-                    return outcome
-                self.amplitudes = node.state.copy()
-        elif path.rng is None:
-            raise RuntimeFault("statevector backend needs an RNG stream to measure")
-        else:
-            p1 = self._prob_one(qubit)
-            outcome = 1 if path.rng.random() < p1 else 0
-            path.grow(p1, self.amplitudes, outcome)
+    def measure(self, qubit: int, choose) -> int:
+        p1 = self._prob_one(qubit)
+        outcome = choose(p1, self.amplitudes)
         self._project(qubit, outcome, p1 if outcome else 1.0 - p1)
         return outcome
 
@@ -110,81 +92,9 @@ class StatevectorBackend:
         psi[:, 1 - outcome, :] = 0.0
         self.amplitudes *= 1.0 / np.sqrt(probability)
 
-    def reset(self, qubit: int):
-        if self.measure(qubit) == 1:
+    def reset(self, qubit: int, choose):
+        if self.measure(qubit, choose) == 1:
             self.apply_gate(GateId.X, (), (qubit,))
-
-
-# Shot branching.  The gates a shot applies between two measurements depend
-# only on the outcomes drawn before them, so a run keeps one trie of outcome
-# histories.  A node is the point just before a measurement draw reached by
-# one history: it holds that draw's p1 and, within a budget, the state
-# vector there.  A leaf holds the output the history records.  Every stored
-# value is what a shot with that history computes from |0...0> by the same
-# float operations, so a shot that reuses them draws the same outcomes.
-MAX_TRIE_NODES = 1 << 16
-MAX_STORED_AMPLITUDES = 1 << 16
-
-
-class _Node:
-    __slots__ = ("p1", "state", "children")
-
-    def __init__(self, p1: float, state):
-        self.p1 = p1
-        self.state = state
-        self.children = [None, None]  # per outcome: a _Node, a leaf, or None
-
-
-class OutcomeTrie:
-    """One run's outcome-history trie; run_program walks it, ShotPath extends it."""
-
-    def __init__(self):
-        self.root = [None]
-        self.nodes = 0
-        self.stored_amplitudes = 0
-
-
-class ShotPath:
-    """One shot's replay of its walk down an OutcomeTrie on a backend.
-
-    `walk` holds the (node, outcome) pairs that routing drew for the shot,
-    `rng` continues its stream past them, and `tail` is the empty slot
-    (children, outcome) the walk ended at.  The backend skips gates until
-    `start`, the deepest walk node that stores a state, takes each walk
-    node's outcome from `replay`, and adds a node for each later draw.
-    Without a trie the path just draws from `rng`.
-    """
-
-    def __init__(self, rng: Optional[np.random.Generator], walk=(), tail=None,
-                 trie: Optional[OutcomeTrie] = None):
-        self.rng = rng
-        self.trie = trie
-        self.tail = tail
-        self.start = next((node for node, _ in reversed(walk) if node.state is not None), None)
-        self.replay = iter(walk)
-
-    def grow(self, p1: float, state, outcome: int):
-        """Add a node for a draw past the walk, storing a copy of `state` if it fits."""
-        trie = self.trie
-        if self.tail is None or trie.nodes >= MAX_TRIE_NODES:
-            self.tail = None
-            return
-        trie.nodes += 1
-        if state is not None and trie.stored_amplitudes + state.size <= MAX_STORED_AMPLITUDES:
-            trie.stored_amplitudes += state.size
-            state = state.copy()
-        else:
-            state = None
-        node = _Node(p1, state)
-        slots, slot = self.tail
-        slots[slot] = node
-        self.tail = (node.children, outcome)
-
-    def seal(self, output):
-        """Record `output` as the leaf that this shot's history ends in."""
-        if self.tail is not None:
-            slots, slot = self.tail
-            slots[slot] = output
 
 
 # A controlled gate applies its base gate to the target's slices where every
@@ -245,7 +155,8 @@ class TraceBackend:
     """Records the dispatched instruction stream instead of simulating.
 
     Measurement outcomes come from `measure_bits` (cycled) or default 0,
-    so branch paths can be forced deterministically in tests.
+    so branch paths can be forced deterministically in tests: `measure`
+    passes the bit as p1, which a draw u < p1 returns.  `reset` only logs.
     """
 
     def __init__(self, measure_bits=None):
@@ -253,33 +164,28 @@ class TraceBackend:
         self._measure_cursor = 0
         self.log = []
         self.n = 0
-        self.path = None
 
     def name(self) -> str:
         return "trace"
 
-    def allocate(self, num_qubits: int, rng=None, path=None):
+    def allocate(self, num_qubits: int, state=None):
         self.n = num_qubits
         self.log = []
         self._measure_cursor = 0
-        self.path = path if path is not None else ShotPath(rng)
 
     def apply_gate(self, gate_id: GateId, params, targets):
         self.log.append((gate_id.value, tuple(params), tuple(targets)))
 
-    def measure(self, qubit: int) -> int:
+    def measure(self, qubit: int, choose) -> int:
         if self.measure_bits:
             bit = self.measure_bits[self._measure_cursor % len(self.measure_bits)]
             self._measure_cursor += 1
         else:
             bit = 0
         self.log.append(("mz", (), (qubit,)))
-        node, outcome = next(self.path.replay, (None, int(bit)))
-        if node is None:
-            self.path.grow(float(bit), None, outcome)  # p1 of a forced outcome
-        return outcome
+        return choose(float(bit), None)
 
-    def reset(self, qubit: int):
+    def reset(self, qubit: int, choose):
         self.log.append(("reset", (), (qubit,)))
 
 

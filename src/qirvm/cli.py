@@ -77,6 +77,9 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EX_NOINPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input}: not UTF-8 text: {exc}", file=sys.stderr)
+        return EX_DATAERR
 
     registry = default_registry()
     try:

@@ -6,20 +6,22 @@ SSA environment, and an RNG stream derived deterministically from
 (seed, shot_index), by shot_rng for one shot or ShotStreams for many.
 Shots are therefore order-independent: a shot whose outcome history an
 earlier shot already ran reuses that work (see OutcomeTrie), and a shot
-that misses replays the outcomes recorded on its walk and continues the
-stream that routed it, so each gets the output it would compute alone.
-A shot that takes more than STEP_LIMIT steps faults.
+that misses resumes where its walk last stored a state, replays the
+walk's outcomes and continues the stream that routed it, so each gets the
+output it would compute alone.  Only this module routes, replays and
+stores shots.  A shot that takes more than STEP_LIMIT steps faults.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .analyze import Control, EntryPoint, Program, compile_program
-from .backends import OutcomeTrie, ShotPath, create_backend
+from .backends import create_backend
 from .errors import RuntimeFault
 from .ir import ProgramModule
 from .recorder import Histogram, RunResult, ShotOutput, ShotRecorder
@@ -133,6 +135,52 @@ class ShotStreams:
         return np.random.Generator(pcg)
 
 
+# Shot branching.  The gates a shot applies between two measurements depend
+# only on the outcomes drawn before them, so a run keeps one trie of outcome
+# histories.  A node is the point just before a measurement draw reached by
+# one history: it holds that draw's p1 and, within a budget, the state there
+# and where the shot was.  A leaf holds the output the history records.
+# Every stored value is what a shot with that history computes from |0...0>
+# by the same float operations, so a shot that resumes from them draws the
+# same outcomes.
+MAX_TRIE_NODES = 1 << 16
+MAX_STORED_AMPLITUDES = 1 << 16
+
+
+class _Node:
+    __slots__ = ("p1", "state", "resume", "children")
+
+    def __init__(self, p1: float):
+        self.p1 = p1
+        # if stored: a copy of the amplitudes before the draw, and (step count,
+        # steps, cursor, SSA values, result bits, recorder entries, declared
+        # length) at the MEASURE/RESET step that draws
+        self.state = self.resume = None
+        self.children = [None, None]  # per outcome: a _Node, a leaf, or None
+
+
+class OutcomeTrie:
+    """One run's outcome-history trie; run_program walks it, execute_shot extends it."""
+
+    def __init__(self):
+        self.root = [None]
+        self.nodes = self.stored_amplitudes = 0
+
+
+class _Miss(NamedTuple):
+    """A shot of run_program at an empty trie slot, `tail` = (children, outcome).
+
+    `walk` holds the (node, outcome) pairs routing drew for it, from the
+    deepest node that stores a state or from the root, and `rng` continues
+    its stream past them.
+    """
+
+    rng: np.random.Generator
+    walk: tuple = ()
+    tail: Optional[tuple] = None
+    trie: Optional[OutcomeTrie] = None
+
+
 def _result_bit(bits: list, index: int) -> int:
     bit = bits[index]
     if bit is None:
@@ -140,21 +188,54 @@ def _result_bit(bits: list, index: int) -> int:
     return bit
 
 
-def execute_shot(program: Program, backend, recorder: ShotRecorder) -> ShotOutput:
-    """Run `program` once, for at most STEP_LIMIT steps; backend must be allocated."""
-    ssa = {}
-    bits = [None] * program.num_results
-    steps, cursor = program.blocks[0], 0
-    for _ in range(STEP_LIMIT):
+def execute_shot(program: Program, backend, recorder: ShotRecorder, rng) -> ShotOutput:
+    """Run `program` once on an allocated backend, for at most STEP_LIMIT steps.
+
+    A measurement's outcome is 1 iff rng.random() < p1.  run_program passes
+    a _Miss as `rng`: the shot then resumes where its walk's first node
+    stored it (the backend holds that state), or starts at block 0, takes
+    the walk's outcomes, then draws, adds a node per draw to the trie and
+    seals its output as a leaf.
+    """
+    miss = rng if isinstance(rng, _Miss) else _Miss(rng)
+    tail, trie = miss.tail, miss.trie
+    start = miss.walk[0][0].resume if miss.walk else None
+    taken, steps, cursor, ssa, bits, entries, recorder.declared_len = start or (
+        0, program.blocks[0], 0, {}, [None] * program.num_results, [], None)
+    ssa, bits, recorder.entries = dict(ssa), list(bits), list(entries)
+    replay = iter([outcome for _, outcome in miss.walk])
+
+    def choose(p1, amplitudes):
+        nonlocal tail
+        outcome = next(replay, None)
+        if outcome is not None:
+            return outcome
+        outcome = 1 if miss.rng.random() < p1 else 0
+        if tail is None or trie.nodes >= MAX_TRIE_NODES:
+            tail = None
+            return outcome
+        trie.nodes += 1
+        node = _Node(p1)
+        if amplitudes is not None and \
+                trie.stored_amplitudes + amplitudes.size <= MAX_STORED_AMPLITUDES:
+            trie.stored_amplitudes += amplitudes.size
+            node.state, node.resume = amplitudes.copy(), (
+                taken, steps, cursor - 1, dict(ssa), list(bits), list(recorder.entries),
+                recorder.declared_len)
+        tail[0][tail[1]] = node
+        tail = (node.children, outcome)
+        return outcome
+
+    for taken in range(taken, STEP_LIMIT):  # a resumed shot counts its steps from block 0
         code, *args = steps[cursor]
         cursor += 1
         if code is OpKind.GATE:
             backend.apply_gate(*args)
         elif code is OpKind.MEASURE:
             qubit, result = args
-            bits[result] = backend.measure(qubit)
+            bits[result] = backend.measure(qubit, choose)
         elif code is OpKind.RESET:
-            backend.reset(args[0])
+            backend.reset(args[0], choose)
         elif code is OpKind.READ_RESULT:
             result, name = args
             if name in ssa:
@@ -173,7 +254,10 @@ def execute_shot(program: Program, backend, recorder: ShotRecorder) -> ShotOutpu
                 raise RuntimeFault(f"use of unbound SSA value {name}")
             steps, cursor = program.blocks[then_index if ssa[name] else else_index], 0
         elif code is Control.RETURN:
-            return recorder.finalize()
+            output = recorder.finalize()
+            if tail is not None:
+                tail[0][tail[1]] = output
+            return output
         elif code is Control.FAULT:
             raise RuntimeFault(args[0])
         # OpKind.INITIALIZE does nothing
@@ -192,9 +276,10 @@ def run_program(
     lowest shot index first.  A group at a node draws from ShotStreams and
     splits on u < p1, noting (node, outcome) on its walk; a group at a
     leaf takes its output.  At an empty slot the group's lowest shot runs
-    alone: it replays the walk's outcomes, continues its stream past them
-    and extends the trie; the rest waits there again.  Every lower shot
-    has its output by then, so a fault names the lowest faulting shot.
+    alone: it resumes from the walk's deepest stored state, replays the
+    walk's outcomes, continues its stream past them and extends the trie;
+    the rest waits there again.  Every lower shot has its output by then,
+    so a fault names the lowest faulting shot.
     """
     program = compile_program(module, entry, registry)
     trie = OutcomeTrie()
@@ -208,19 +293,20 @@ def run_program(
             low, rows, slots, slot, walk = heapq.heappop(waiting)
             held = slots[slot]
             if held is None:
-                path = ShotPath(streams.generator(low), walk, (slots, slot), trie)
                 backend = create_backend(config.backend_choice)
-                backend.allocate(entry.num_qubits, path=path)
+                backend.allocate(entry.num_qubits, walk[0][0].state if walk else None)
+                miss = _Miss(streams.generator(low), walk, (slots, slot), trie)
                 try:
-                    held = execute_shot(program, backend, ShotRecorder())
+                    held = execute_shot(program, backend, ShotRecorder(), miss)
                 except RuntimeFault as fault:
                     raise RuntimeFault(f"shot {first + low}: {fault}") from fault
-                path.seal(held)
                 if rows.size > 1:
                     heapq.heappush(waiting, (int(rows[1]), rows[1:], slots, slot, walk))
                 rows = rows[:1]
             elif not isinstance(held, ShotOutput):  # a trie node
                 ones = streams.random(rows) < held.p1
+                if held.state is not None:  # a miss past here resumes from it
+                    walk = ()
                 for outcome, part in (1, rows[ones]), (0, rows[~ones]):
                     if part.size:
                         heapq.heappush(waiting, (int(part[0]), part, held.children, outcome,

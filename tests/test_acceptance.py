@@ -119,10 +119,10 @@ def test_criterion_4_gate_properties():
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(777)
     with timed(30.0) as t:
-        for trial in range(100):
+        for _ in range(100):
             n = int(rng.integers(1, 6))
             backend = StatevectorBackend()
-            backend.allocate(n, rng=np.random.default_rng(trial))
+            backend.allocate(n)
             psi = np.zeros(2 ** n, dtype=complex)
             psi[0] = 1.0
             for g, params, targets in random_gate_sequence(rng, n, 200):

@@ -6,6 +6,7 @@ run_program did before shots shared an outcome-history trie.  The two must
 give byte-identical JSON, or fault at the same shot with the same message.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -33,8 +34,7 @@ from qirvm import (
     run_program,
     shot_rng,
 )
-from qirvm import backends, interpreter
-from qirvm.backends import ShotPath
+from qirvm import interpreter
 from qirvm.interpreter import RNG_ID
 
 from conftest import QPE_LL, TELEPORT_LL, make_program
@@ -83,9 +83,15 @@ def mz(q, r):
     return call("mz", qubit(q), result(r))
 
 
-def branch(index, r, then_lines, else_lines):
+def record(r):
+    return f"  call void @__quantum__rt__result_record_output({result(r)}, i8* null)"
+
+
+def branch(index, r, then_lines, else_lines, before_br=()):
+    """Bind %c<index> to result r, run `before_br`, then branch on it."""
     return [
         f"  %c{index} = call i1 @__quantum__qis__read_result__body({result(r)})",
+        *before_br,
         f"  br i1 %c{index}, label %then{index}, label %else{index}",
         f"then{index}:",
         *then_lines,
@@ -97,11 +103,12 @@ def branch(index, r, then_lines, else_lines):
     ]
 
 
-def program(lines, num_qubits, recorded, num_results):
+def program(lines, num_qubits, recorded, num_results, recorded_before=0):
+    """`lines`, which record `recorded_before` results, then a record of each of `recorded`."""
+    length = recorded_before + len(recorded)
     body = ["entry:", *lines,
-            f"  call void @__quantum__rt__array_record_output(i64 {len(recorded)}, i8* null)"]
-    body += [f"  call void @__quantum__rt__result_record_output({result(r)}, i8* null)"
-             for r in recorded]
+            f"  call void @__quantum__rt__array_record_output(i64 {length}, i8* null)"]
+    body += [record(r) for r in recorded]
     body.append("  ret void")
     return make_program(
         "\n".join(body),
@@ -117,9 +124,10 @@ def reference(module, entry, shots, seed):
     outputs = []
     for shot_index in range(shots):
         backend = StatevectorBackend()
-        backend.allocate(entry.num_qubits, rng=shot_rng(seed, shot_index))
+        backend.allocate(entry.num_qubits)
         try:
-            outputs.append(execute_shot(compiled, backend, ShotRecorder()))
+            outputs.append(execute_shot(compiled, backend, ShotRecorder(),
+                                        shot_rng(seed, shot_index)))
         except RuntimeFault as fault:
             return RuntimeFault(f"shot {shot_index}: {fault}")
     return emit_json(aggregate(
@@ -154,6 +162,9 @@ def feed_forward_programs(draw):
 
     Records every result some path measures, so a history that skips a
     measurement faults on the unmeasured result; both sides must agree.
+    Some rounds measure again between binding a bit and branching on it,
+    and some record their bit before later measurements, so a shot that
+    resumes at a later measurement needs its SSA values and records.
     """
     n = draw(st.integers(1, 4))
     num_results = draw(st.integers(1, 3))
@@ -187,16 +198,23 @@ def feed_forward_programs(draw):
                 lines.append(call("reset", qubit(draw(st.integers(0, n - 1)))))
         return lines
 
-    lines = ops()
-    for index in range(draw(st.integers(0, 4))):
+    def measure_random_bit():
         r, q = draw(st.integers(0, num_results - 1)), draw(st.integers(0, n - 1))
-        # a rotation first, so most branch conditions are random
-        lines += [call("ry", f"double {hexdouble(draw(angles))}", qubit(q)), mz(q, r)]
         measured.add(r)
-        lines += branch(index, r, ops(), ops())
+        # a rotation first, so most branch conditions are random
+        return r, [call("ry", f"double {hexdouble(draw(angles))}", qubit(q)), mz(q, r)]
+
+    lines, recorded_before = ops(), 0
+    for index in range(draw(st.integers(0, 4))):
+        r, measure = measure_random_bit()
+        lines += measure
+        if draw(st.booleans()):
+            lines.append(record(r))
+            recorded_before += 1
+        before_br = measure_random_bit()[1] if draw(st.integers(0, 2)) else []
+        lines += branch(index, r, ops(), ops(), before_br)
         lines += ops()
-    recorded = sorted(measured)
-    return program(lines, n, recorded, num_results)
+    return program(lines, n, sorted(measured), num_results, recorded_before)
 
 
 # Small budgets make misses replay from an ancestor's stored state, or from
@@ -207,14 +225,13 @@ SMALL_CHUNK = 5
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
-       st.sampled_from([backends.MAX_STORED_AMPLITUDES, 32, 0]),
-       st.sampled_from([backends.MAX_TRIE_NODES, 3]),
+       st.sampled_from([interpreter.MAX_STORED_AMPLITUDES, 32, 0]),
+       st.sampled_from([interpreter.MAX_TRIE_NODES, 3]),
        st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]))
 def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes,
                                            chunk):
-    with mock.patch.multiple(backends, MAX_STORED_AMPLITUDES=max_amplitudes,
-                             MAX_TRIE_NODES=max_nodes), \
-            mock.patch.object(interpreter, "SHOT_CHUNK", chunk):
+    with mock.patch.multiple(interpreter, MAX_STORED_AMPLITUDES=max_amplitudes,
+                             MAX_TRIE_NODES=max_nodes, SHOT_CHUNK=chunk):
         assert_matches_reference(source, shots, seed)
 
 
@@ -262,40 +279,100 @@ def test_teleport_matches_per_shot_loop():
     assert_matches_reference(TELEPORT_LL, shots=512, seed=11)
 
 
+def run(source, shots, seed):
+    module = parse_module(source)
+    return run_program(module, find_entry(module), default_registry(),
+                       RunConfig(shots=shots, seed=seed))
+
+
+@contextlib.contextmanager
+def allocated_states():
+    """Collect the `state` argument of each StatevectorBackend.allocate call."""
+    states = []
+    real_allocate = StatevectorBackend.allocate
+
+    def allocate(backend, num_qubits, state=None):
+        states.append(state)
+        real_allocate(backend, num_qubits, state)
+
+    with mock.patch.object(StatevectorBackend, "allocate", allocate):
+        yield states
+
+
 def test_state_too_large_to_store_starts_misses_from_zero_state():
     n = 17
-    assert 2 ** n > backends.MAX_STORED_AMPLITUDES
+    assert 2 ** n > interpreter.MAX_STORED_AMPLITUDES
     lines = [call("h", qubit(0)), mz(0, 0), *branch(0, 0, [call("x", qubit(n - 1))], []),
              call("h", qubit(1)), mz(1, 1), mz(n - 1, 2)]
     source = program(lines, n, [0, 1, 2], 3)
-    misses = []  # per trie miss of run_program: (path, walk, amplitude 0 after allocate)
+    assert_matches_reference(source, shots=24, seed=3)
+    tries = []
+    real_trie = interpreter.OutcomeTrie
 
-    def shot_path(rng, walk, tail, trie):
-        misses.append([ShotPath(rng, walk, tail, trie), walk])
-        return misses[-1][0]
+    def outcome_trie():
+        tries.append(real_trie())
+        return tries[-1]
 
-    real_allocate = StatevectorBackend.allocate
-
-    def allocate(backend, num_qubits, rng=None, path=None):
-        real_allocate(backend, num_qubits, rng, path)
-        if path is not None:  # run_program's miss; the reference loop passes rng
-            misses[-1].append(backend.amplitudes[0])
-
-    with mock.patch.object(interpreter, "ShotPath", shot_path), \
-            mock.patch.object(StatevectorBackend, "allocate", allocate):
-        assert_matches_reference(source, shots=24, seed=3)
-    assert misses and all(path.start is None and amplitude == 1.0
-                          for path, _, amplitude in misses)
-    trie = misses[0][0].trie
+    with allocated_states() as states, mock.patch.object(interpreter, "OutcomeTrie", outcome_trie):
+        run(source, shots=24, seed=3)
+    # every miss after the first replays a walk, and each starts from |0...0>
+    assert len(states) > 1 and all(state is None for state in states)
+    [trie] = tries
     assert trie.nodes > 0 and trie.stored_amplitudes == 0
-    assert any(walk for _, walk, _ in misses)  # some replayed a walk with no stored state
 
 
-def test_step_limit_hit_on_one_history_only():
-    lines = [call("h", qubit(0)), mz(0, 0),
+def test_a_miss_computes_no_gate_before_its_stored_state():
+    # K gates on qubit 0, then two measurements of qubit 1 give four
+    # histories; each miss after the first resumes from a stored state
+    gates = 20
+    lines = [call("ry", f"double {hexdouble(0.1 * k)}", qubit(0)) for k in range(gates)]
+    lines += [call("h", qubit(1)), mz(1, 0), call("h", qubit(1)), mz(1, 1)]
+    source = program(lines, 2, [0, 1], 2)
+    assert_matches_reference(source, shots=64, seed=1)
+    on_qubit_0 = []
+    real_apply = StatevectorBackend.apply_gate
+
+    def apply_gate(backend, gate_id, params, targets):
+        on_qubit_0.extend(q for q in targets if q == 0)
+        real_apply(backend, gate_id, params, targets)
+
+    with allocated_states() as states, \
+            mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
+        histogram = run(source, shots=64, seed=1).histogram
+    assert len(histogram) == len(states) == 4
+    assert sum(state is not None for state in states) == 3
+    assert len(on_qubit_0) == gates
+
+
+def test_misses_resume_from_one_stored_state_with_its_values_and_records():
+    # the budget stores the states at the first two draws only, so the other
+    # misses all resume from the second one: after result 0 is recorded and
+    # bound to %c0, which the branch after that draw reads
+    lines = [call("x", qubit(0)), mz(0, 0), record(0),
+             f"  %c0 = call i1 @__quantum__qis__read_result__body({result(0)})",
+             call("h", qubit(1)), mz(1, 1), "  br i1 %c0, label %then0, label %else0",
+             "then0:", call("x", qubit(1)), "  br label %join0", "else0:", "  br label %join0",
+             "join0:", call("h", qubit(1)), mz(1, 2)]
+    source = program(lines, 2, [1, 2], 3, recorded_before=1)
+    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 8):
+        assert_matches_reference(source, shots=32, seed=4)
+        with allocated_states() as states:
+            histogram = run(source, shots=32, seed=4).histogram
+    assert sorted(histogram) == ["100", "101", "110", "111"]
+    resumed = [state for state in states if state is not None]
+    assert len(resumed) == 3 and all(state is resumed[0] for state in resumed)
+
+
+@pytest.mark.parametrize("before, spin", [
+    (0, ["  br label %spin"]),
+    # a shot that resumes after the first 300 steps still counts them
+    (300, [call("z", qubit(0))] * 300 + ["  br label %done"]),
+], ids=["loop", "resumed"])
+def test_step_limit_hit_on_one_history_only(before, spin):
+    lines = [call("h", qubit(0)), *[call("z", qubit(0))] * before, mz(0, 0),
              f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})",
              "  br i1 %c, label %spin, label %done",
-             "spin:", "  br label %spin", "done:"]
+             "spin:", *spin, "done:"]
     with mock.patch.object(interpreter, "STEP_LIMIT", 500):
         fault = assert_matches_reference(program(lines, 1, [0], 1), shots=16, seed=0)
     assert "step limit of 500 exceeded" in str(fault)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qirvm import RunConfig, RuntimeFault, default_registry, find_entry, parse_module, run_program
 from qirvm.cli import (
     EX_CANTCREAT,
     EX_CONFIG,
@@ -78,6 +79,14 @@ def test_missing_file():
     assert main(["run", "/nonexistent/prog.ll"]) == EX_NOINPUT
 
 
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ll"
+    path.write_bytes(TELEPORT_LL.encode() + b"; caf\xe9\n")
+    assert main(["run", str(path)]) == EX_DATAERR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err
+
+
 def test_parse_error_names_construct_and_line(tmp_path, capsys):
     src = make_program("entry:\n  %0 = phi i1 [ true, %entry ]\n  ret void")
     path = write(tmp_path, src)
@@ -99,6 +108,29 @@ def test_validation_error_exit_code(tmp_path, capsys):
         "entry:\n  call void @__quantum__qis__cnot__body(%Qubit* null, %Qubit* null)\n  ret void")
     assert main(["run", write(tmp_path, src, "dup.ll")]) == EX_CONFIG
     assert "duplicate qubit targets [0, 0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0x7FF0000000000000", "0xFFF0000000000000",
+                                   "0x7FF8000000000000"], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("gate", ["rx", "ry", "rz", "rzz"])
+def test_non_finite_angle_is_a_validation_error(tmp_path, capsys, gate, value):
+    types, qubits = ("%Qubit*, %Qubit*", "%Qubit* null, %Qubit* inttoptr (i64 1 to %Qubit*)") \
+        if gate == "rzz" else ("%Qubit*", "%Qubit* null")
+    src = make_program(
+        f"entry:\n  call void @__quantum__qis__{gate}__body(double {value}, {qubits})\n"
+        "  ret void",
+        declarations=f"declare void @__quantum__qis__{gate}__body(double, {types})",
+        attrs='"entry_point" "num_required_qubits"="2" "num_required_results"="0"',
+    )
+    angle = {"0x7FF0000000000000": "inf", "0xFFF0000000000000": "-inf"}.get(value, "nan")
+    message = f"@__quantum__qis__{gate}__body takes a non-finite double operand ({angle})"
+    assert main(["run", write(tmp_path, src), "--shots", "8"]) == EX_CONFIG
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: main:entry:0: {message}" in out.err
+    module = parse_module(src)
+    with pytest.raises(RuntimeFault) as fault:
+        run_program(module, find_entry(module), default_registry(), RunConfig(shots=8))
+    assert str(fault.value) == f"shot 0: {message}"
 
 
 def test_runtime_fault_exit_code(tmp_path):

@@ -177,7 +177,7 @@ def test_teleport_executes_10_to_12_qis_calls_per_shot(teleport_module, teleport
         backend = TraceBackend(measure_bits=list(bits))
         backend.allocate(teleport_entry.num_qubits)
         execute_shot(compile_program(teleport_module, teleport_entry, default_registry()),
-                     backend, ShotRecorder())
+                     backend, ShotRecorder(), shot_rng(0, 0))
         assert len(backend.log) + 2 == expected_qis_calls
 
 
@@ -186,7 +186,7 @@ def test_teleport_forced_bits_give_expected_bitstring(teleport_module, teleport_
     backend.allocate(teleport_entry.num_qubits)
     out = execute_shot(
         compile_program(teleport_module, teleport_entry, default_registry()),
-        backend, ShotRecorder(),
+        backend, ShotRecorder(), shot_rng(0, 0),
     )
     assert out.bitstring == "100"
 
@@ -285,16 +285,17 @@ def test_branch_soundness_on_crafted_program():
     for bit, gate in [(1, "x"), (0, "h")]:
         backend = TraceBackend(measure_bits=[bit])
         backend.allocate(1)
-        execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder())
+        execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder(),
+                     shot_rng(0, 0))
         assert backend.log[-1][0] == gate
 
 
 def test_statevector_backend_through_interpreter(teleport_module, teleport_entry):
     backend = StatevectorBackend()
-    backend.allocate(teleport_entry.num_qubits, rng=np.random.default_rng(0))
+    backend.allocate(teleport_entry.num_qubits)
     out = execute_shot(
         compile_program(teleport_module, teleport_entry, default_registry()),
-        backend, ShotRecorder(),
+        backend, ShotRecorder(), np.random.default_rng(0),
     )
     assert len(out.bitstring) == 3
     assert out.bitstring[2] == "0"  # teleported |0> always measures 0

@@ -22,10 +22,15 @@ from qirvm.registry import GATE_SHAPES
 from conftest import allocating_apply, make_program, qpe_reference_distribution
 
 
-def fresh(n, seed=0):
+def fresh(n):
     backend = StatevectorBackend()
-    backend.allocate(n, rng=np.random.default_rng(seed))
+    backend.allocate(n)
     return backend
+
+
+def draw(rng):
+    """The interpreter's draw, for measure and reset: outcome 1 iff u < p1."""
+    return lambda p1, amplitudes: int(rng.random() < p1)
 
 
 def test_hadamard_superposition():
@@ -45,53 +50,53 @@ def test_x_then_measure_is_deterministic():
     sv = fresh(1)
     sv.apply_gate(GateId.X, (), (0,))
     before = sv.amplitudes.copy()
-    assert sv.measure(0) == 1
+    assert sv.measure(0, draw(np.random.default_rng(0))) == 1
     assert np.allclose(sv.amplitudes, before)
 
 
 def test_plus_state_measurement_is_fair():
     ones = 0
     trials = 10_000
-    rng = np.random.default_rng(7)
+    choose = draw(np.random.default_rng(7))
     for _ in range(trials):
         sv = StatevectorBackend()
-        sv.allocate(1, rng=rng)
+        sv.allocate(1)
         sv.apply_gate(GateId.H, (), (0,))
-        ones += sv.measure(0)
+        ones += sv.measure(0, choose)
     assert 0.48 <= ones / trials <= 0.52
 
 
 def test_ghz_measurements_perfectly_correlated():
     for seed in range(50):
-        sv = fresh(3, seed=seed)
+        sv, choose = fresh(3), draw(np.random.default_rng(seed))
         sv.apply_gate(GateId.H, (), (0,))
         sv.apply_gate(GateId.CNOT, (), (0, 1))
         sv.apply_gate(GateId.CNOT, (), (1, 2))
-        bits = [sv.measure(0), sv.measure(1), sv.measure(2)]
+        bits = [sv.measure(0, choose), sv.measure(1, choose), sv.measure(2, choose)]
         assert len(set(bits)) == 1
 
 
 def test_reset_one_to_zero():
     sv = fresh(1)
     sv.apply_gate(GateId.X, (), (0,))
-    sv.reset(0)
+    sv.reset(0, draw(np.random.default_rng(0)))
     assert np.allclose(np.abs(sv.amplitudes) ** 2, [1, 0])
 
 
 def test_reset_zero_is_fixpoint():
     sv = fresh(1)
     before = sv.amplitudes.copy()
-    sv.reset(0)
+    sv.reset(0, draw(np.random.default_rng(0)))
     assert np.array_equal(sv.amplitudes, before)
 
 
 def test_reset_on_bell_pair_collapses_partner():
     outcomes = set()
     for seed in range(40):
-        sv = fresh(2, seed=seed)
+        sv = fresh(2)
         sv.apply_gate(GateId.H, (), (0,))
         sv.apply_gate(GateId.CNOT, (), (0, 1))
-        sv.reset(0)
+        sv.reset(0, draw(np.random.default_rng(seed)))
         probs = np.abs(sv.amplitudes) ** 2
         # qubit 0 marginal must be exactly |0>
         assert probs[1] + probs[3] < 1e-12
@@ -102,7 +107,7 @@ def test_reset_on_bell_pair_collapses_partner():
 
 
 def test_probabilities_sum_to_one():
-    sv = fresh(4, seed=3)
+    sv = fresh(4)
     rng = np.random.default_rng(11)
     gates_1q = [GateId.H, GateId.T, GateId.SY, GateId.RX]
     for _ in range(50):
@@ -118,14 +123,14 @@ def test_adjoint_cancellation_returns_state():
         (GateId.H, GateId.H), (GateId.S, GateId.SDG), (GateId.T, GateId.TDG),
     ]
     for a, b in pairs:
-        sv = fresh(2, seed=5)
+        sv = fresh(2)
         sv.apply_gate(GateId.H, (), (0,))
         sv.apply_gate(GateId.RY, (0.7,), (1,))
         before = sv.amplitudes.copy()
         sv.apply_gate(a, (), (1,))
         sv.apply_gate(b, (), (1,))
         assert np.max(np.abs(sv.amplitudes - before)) < 1e-10
-    sv = fresh(2, seed=5)
+    sv = fresh(2)
     sv.apply_gate(GateId.RY, (0.3,), (0,))
     before = sv.amplitudes.copy()
     sv.apply_gate(GateId.SWAP, (), (0, 1))
@@ -184,13 +189,6 @@ def test_max_qubits_enforced():
         sv.allocate(DEFAULT_MAX_QUBITS + 1)
 
 
-def test_measure_without_rng_faults():
-    sv = StatevectorBackend()
-    sv.allocate(1)
-    with pytest.raises(RuntimeFault):
-        sv.measure(0)
-
-
 # --- dense matrix-product oracle -------------------------------------------
 
 ALL_GATES = list(GateId)
@@ -237,7 +235,7 @@ def test_random_sequences_match_dense_oracle():
     rng = np.random.default_rng(99)
     for trial in range(10):
         n = int(rng.integers(1, 6))
-        sv = fresh(n, seed=trial)
+        sv = fresh(n)
         psi = np.zeros(2 ** n, dtype=complex)
         psi[0] = 1.0
         for g, params, targets in random_gate_sequence(rng, n, 200):
@@ -291,10 +289,10 @@ def test_every_gate_class_matches_the_allocating_formula_after_a_projection(n):
     # mz writes exact zeros, whose sign alone may differ from the formula's
     rng = np.random.default_rng(200 + n)
     for gate, params, targets in every_gate_application(rng, n):
-        sv = fresh(n, seed=int(rng.integers(1 << 30)))
+        sv, choose = fresh(n), draw(np.random.default_rng(int(rng.integers(1 << 30))))
         state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         sv.amplitudes = state / np.linalg.norm(state)
-        sv.measure(int(rng.integers(n)))
+        sv.measure(int(rng.integers(n)), choose)
         expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
         sv.apply_gate(gate, params, targets)
         assert np.array_equal(sv.amplitudes, expected), (gate, targets)

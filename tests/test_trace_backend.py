@@ -6,6 +6,7 @@ from qirvm import (
     execute_shot,
     find_entry,
     parse_module,
+    shot_rng,
 )
 
 from conftest import make_program
@@ -15,7 +16,8 @@ def run_traced(module, measure_bits):
     entry = find_entry(module)
     backend = TraceBackend(measure_bits=measure_bits)
     backend.allocate(entry.num_qubits)
-    execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder())
+    execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder(),
+                 shot_rng(0, 0))
     return backend.log
 
 
@@ -63,13 +65,19 @@ def test_empty_main_empty_log():
     assert run_traced(module, measure_bits=None) == []
 
 
+def choose(p1, amplitudes):
+    """The interpreter's draw for a forced bit: p1 is 0 or 1."""
+    assert amplitudes is None
+    return int(p1)
+
+
 def test_measure_bits_cycle():
     backend = TraceBackend(measure_bits=[1, 0])
     backend.allocate(1)
-    assert [backend.measure(0) for _ in range(4)] == [1, 0, 1, 0]
+    assert [backend.measure(0, choose) for _ in range(4)] == [1, 0, 1, 0]
 
 
 def test_default_measure_is_zero():
     backend = TraceBackend()
     backend.allocate(1)
-    assert backend.measure(0) == 0
+    assert backend.measure(0, choose) == 0
