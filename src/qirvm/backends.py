@@ -27,14 +27,22 @@ class StatevectorBackend:
     gate ties the speed to the C heap's layout; only rzz, zz and xx build
     one (`_apply_matrix`).  README, Gate kernels, lists the forms.
 
+    `fixed` maps each qubit known to be in a basis state (from allocate,
+    mz or reset, until a gate targets it) to its bit: every amplitude with
+    the other bit is exactly zero, so one-qubit and paired gates skip it.
+    A state enters only through `allocate`, so the map holds for it.
+
     Each measurement asks `choose` for its outcome exactly once, with p1
-    computed from the current state, and projects onto that outcome.
+    computed from the current state, and projects onto that outcome; on a
+    qubit fixed at 0, p1 is exactly 0.0 and the projection changes no bit,
+    so both are skipped.
     """
 
     def __init__(self):
         self.n = 0
         self.amplitudes = None
         self.scratch = None
+        self.fixed = {}
 
     def name(self) -> str:
         return "statevector"
@@ -50,28 +58,43 @@ class StatevectorBackend:
         if state is None:
             self.amplitudes = np.zeros(2 ** max(num_qubits, 0), dtype=complex)
             self.amplitudes[0] = 1.0
+            self.fixed = dict.fromkeys(range(num_qubits), 0)
         else:
             self.amplitudes = state.copy()
+            self.fixed = {}
 
     def apply_gate(self, gate_id: GateId, params, targets):
-        """Apply a gate to distinct in-range targets, as compile_program checks."""
-        state = self.amplitudes
+        """Apply a gate to distinct in-range targets, as compile_program checks.
+
+        The targets leave `fixed`.  A one-qubit or paired gate indexes every
+        other fixed qubit's axis at its bit, so it computes only the pairs
+        that can be nonzero; each output pair depends on its own inputs
+        alone, so those get the bits a full-state kernel gives them.
+        """
+        n, fixed = self.n, self.fixed
+        for q in targets:
+            fixed.pop(q, None)
         if len(targets) == 1:
-            psi = state.reshape(-1, 2, 1 << targets[0])
-            _apply_2x2(psi[:, 0, :], psi[:, 1, :], gate_matrix(gate_id, params), self.scratch)
+            matrix, axes, zero_bits, one_bits = gate_matrix(gate_id, params), targets, (0,), (1,)
         elif gate_id in _PAIRED:
-            n = self.n
-            psi = state.reshape([2] * n)
-            idx = [slice(None)] * n
-            for q in targets[:-2]:  # ccnot's first control
-                idx[n - 1 - q] = 1
-            a, b = (n - 1 - q for q in targets[-2:])
-            idx[a], idx[b] = 1, 0
-            zero = psi[(*idx, ...)]  # `...` keeps a view when every axis is indexed
-            idx[a], idx[b] = (0, 1) if gate_id is GateId.SWAP else (1, 1)
-            _apply_2x2(zero, psi[(*idx, ...)], gate_matrix(_PAIRED[gate_id]), self.scratch)
+            matrix, axes, zero_bits = gate_matrix(_PAIRED[gate_id]), targets[-2:], (1, 0)
+            one_bits = (0, 1) if gate_id is GateId.SWAP else (1, 1)
         else:
-            self.amplitudes = _apply_matrix(state, gate_matrix(gate_id, params), targets, self.n)
+            self.amplitudes = _apply_matrix(self.amplitudes, gate_matrix(gate_id, params),
+                                            targets, n)
+            return
+        psi = self.amplitudes.reshape([2] * n)
+        idx = [slice(None)] * n
+        for q, bit in fixed.items():
+            idx[n - 1 - q] = bit
+        for q in targets[:-2]:  # ccnot's first control
+            idx[n - 1 - q] = 1
+        halves = []
+        for bits in zero_bits, one_bits:
+            for q, bit in zip(axes, bits):
+                idx[n - 1 - q] = bit
+            halves.append(psi[(*idx, ...)])  # `...` keeps a view when every axis is indexed
+        _apply_2x2(*halves, matrix, self.scratch)
 
     def _prob_one(self, qubit: int) -> float:
         # view with the measured qubit as the middle axis
@@ -80,9 +103,11 @@ class StatevectorBackend:
         return float(np.real(np.einsum("ij,ij->", branch, branch.conj())))
 
     def measure(self, qubit: int, choose) -> int:
-        p1 = self._prob_one(qubit)
+        known_zero = self.fixed.get(qubit) == 0
+        p1 = 0.0 if known_zero else self._prob_one(qubit)
         outcome = choose(p1, self.amplitudes)
-        self._project(qubit, outcome, p1 if outcome else 1.0 - p1)
+        if outcome or not known_zero:
+            self._project(qubit, outcome, p1 if outcome else 1.0 - p1)
         return outcome
 
     def _project(self, qubit: int, outcome: int, probability: float):
@@ -91,10 +116,12 @@ class StatevectorBackend:
         psi = self.amplitudes.reshape(-1, 2, 1 << qubit)
         psi[:, 1 - outcome, :] = 0.0
         self.amplitudes *= 1.0 / np.sqrt(probability)
+        self.fixed[qubit] = outcome
 
     def reset(self, qubit: int, choose):
         if self.measure(qubit, choose) == 1:
             self.apply_gate(GateId.X, (), (qubit,))
+            self.fixed[qubit] = 0
 
 
 # A controlled gate applies its base gate to the target's slices where every

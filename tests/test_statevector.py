@@ -254,8 +254,8 @@ def test_one_qubit_gates_match_the_allocating_formula_bit_for_bit(n):
         params = tuple(float(x) for x in rng.uniform(-2 * np.pi, 2 * np.pi, num_params))
         m = gate_matrix(gate, params)
         for q in range(n):
-            sv = fresh(n)
-            sv.amplitudes = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            sv = StatevectorBackend()
+            sv.allocate(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
             psi = sv.amplitudes.reshape(-1, 2, 1 << q)
             zero, one = psi[:, 0, :], psi[:, 1, :]
             expected = np.stack([m[0, 0] * zero + m[0, 1] * one,
@@ -276,8 +276,8 @@ def every_gate_application(rng, n):
 def test_every_gate_class_matches_the_allocating_formula_bit_for_bit(n):
     rng = np.random.default_rng(100 + n)
     for gate, params, targets in every_gate_application(rng, n):
-        sv = fresh(n)
-        sv.amplitudes = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)  # no zeros
+        sv = StatevectorBackend()
+        sv.allocate(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))  # no zeros
         expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
         sv.apply_gate(gate, params, targets)
         assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64)), \
@@ -289,9 +289,9 @@ def test_every_gate_class_matches_the_allocating_formula_after_a_projection(n):
     # mz writes exact zeros, whose sign alone may differ from the formula's
     rng = np.random.default_rng(200 + n)
     for gate, params, targets in every_gate_application(rng, n):
-        sv, choose = fresh(n), draw(np.random.default_rng(int(rng.integers(1 << 30))))
+        sv, choose = StatevectorBackend(), draw(np.random.default_rng(int(rng.integers(1 << 30))))
         state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-        sv.amplitudes = state / np.linalg.norm(state)
+        sv.allocate(n, state / np.linalg.norm(state))
         sv.measure(int(rng.integers(n)), choose)
         expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
         sv.apply_gate(gate, params, targets)
