@@ -122,22 +122,6 @@ class Control(enum.Enum):
     FAULT = "fault"  # (FAULT, message): raised when a shot reaches it
 
 
-@dataclass(frozen=True)
-class Program:
-    """The entry function compiled for one run; block 0 is the entry block.
-
-    `blocks[i]` holds one step per instruction of block i.  A call step is
-    its operation's OpKind followed by constant operand values:
-    (GATE, gate_id, params, targets), (MEASURE, qubit, result),
-    (RESET, qubit), (READ_RESULT, result, SSA name),
-    (RECORD_ARRAY, length, label), (RECORD_RESULT, result, label) or
-    (INITIALIZE, label).  Other steps are Control codes.
-    """
-
-    blocks: tuple
-    num_results: int
-
-
 def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
     """Why `call`, resolved to `spec`, cannot run in `entry`, or None."""
     if spec is None:
@@ -186,14 +170,22 @@ def _call_step(call: Call, registry: Registry, entry: EntryPoint) -> tuple:
     return (spec.kind, *vals)
 
 
-def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry) -> Program:
-    """Resolve and check the entry function's calls and branch targets once.
+def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry) -> tuple:
+    """The entry function compiled for one run: a tuple of blocks, block 0 first.
+
+    Block i holds one step per instruction of block i.  A call step is
+    its operation's OpKind followed by constant operand values:
+    (GATE, gate_id, params, targets), (MEASURE, qubit, result),
+    (RESET, qubit), (READ_RESULT, result, SSA name),
+    (RECORD_ARRAY, length, label), (RECORD_RESULT, result, label) or
+    (INITIALIZE, label).  Other steps are Control codes.
 
     Call operands in the base profile are constants (only branch conditions
-    read SSA values), so each call's OpSpec and operand values are fixed
-    here.  This is the one place that decides whether a call can run: one
-    that cannot (see _call_fault) becomes a FAULT step, raised only when a
-    shot reaches it, and validate_profile reports the same message.
+    read SSA values), so each call's OpSpec and operand values and each
+    branch target are fixed here, once.  This is the one place that decides
+    whether a call can run: one that cannot (see _call_fault) becomes a
+    FAULT step, raised only when a shot reaches it, and validate_profile
+    reports the same message.
     """
     fn = module.function(entry.function_name)
     index = {block.label: i for i, block in enumerate(fn.blocks)}
@@ -210,8 +202,7 @@ def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry
             return (Control.JUMP, index[ins.then_label if ins.cond.value else ins.else_label])
         return (Control.RETURN,)  # ReturnVoid, the one other instruction
 
-    blocks = tuple(tuple(step(ins) for ins in block.instructions) for block in fn.blocks)
-    return Program(blocks, entry.num_results)
+    return tuple(tuple(step(ins) for ins in block.instructions) for block in fn.blocks)
 
 
 def validate_profile(
@@ -231,8 +222,7 @@ def validate_profile(
     measured = set()
     read_results = []
 
-    program = compile_program(module, entry, registry)
-    for block, steps in zip(fn.blocks, program.blocks):
+    for block, steps in zip(fn.blocks, compile_program(module, entry, registry)):
         for i, (code, *args) in enumerate(steps):
             loc = f"{fn.name}:{block.label}:{i}"
             if code is Control.FAULT:

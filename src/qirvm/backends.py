@@ -1,8 +1,8 @@
 """Execution backends: dense statevector simulator and trace recorder.
 
-A backend instance is exclusively owned by a single shot execution; the
-factory hands out a fresh instance per shot.  Basis convention: qubit i
-is bit i of the little-endian amplitude index.
+A backend instance is exclusively owned by a single shot execution: the
+interpreter gets a fresh instance from the factory per trie miss.  Basis
+convention: qubit i is bit i of the little-endian amplitude index.
 The protocol: allocate(n, state=None), apply_gate, measure(qubit, choose)
 and reset(qubit, choose).  A backend holds no RNG and no trie: the
 interpreter's draw choose(p1, amplitudes) returns each outcome.
@@ -43,9 +43,6 @@ class StatevectorBackend:
         self.amplitudes = None
         self.scratch = None
         self.fixed = {}
-
-    def name(self) -> str:
-        return "statevector"
 
     def allocate(self, num_qubits: int, state=None):
         """Start a shot in |0...0>, or in a copy of the 2^n amplitudes `state`."""
@@ -191,9 +188,6 @@ class TraceBackend:
         self._measure_cursor = 0
         self.log = []
         self.n = 0
-
-    def name(self) -> str:
-        return "trace"
 
     def allocate(self, num_qubits: int, state=None):
         self.n = num_qubits

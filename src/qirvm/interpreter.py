@@ -1,8 +1,8 @@
 """Shot-by-shot execution of the entry function.
 
 A run compiles the entry function once (compile_program) and executes
-the compiled Program once per shot, with a fresh backend state, a fresh
-SSA environment, and an RNG stream derived deterministically from
+its blocks once per trie miss, with a fresh backend, SSA environment,
+result bits and recorder, and an RNG stream derived deterministically from
 (seed, shot_index), by shot_rng for one shot or ShotStreams for many.
 Shots are therefore order-independent: a shot whose outcome history an
 earlier shot already ran reuses that work (see OutcomeTrie), and a shot
@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analyze import Control, EntryPoint, Program, compile_program
+from .analyze import Control, EntryPoint, compile_program
 from .backends import create_backend
 from .errors import RuntimeFault
 from .ir import ProgramModule
@@ -181,28 +181,29 @@ class _Miss(NamedTuple):
     trie: Optional[OutcomeTrie] = None
 
 
-def _result_bit(bits: list, index: int) -> int:
-    bit = bits[index]
+def _result_bit(bits: dict, index: int) -> int:
+    bit = bits.get(index)
     if bit is None:
         raise RuntimeFault(f"use of unmeasured result {index}")
     return bit
 
 
-def execute_shot(program: Program, backend, recorder: ShotRecorder, rng) -> ShotOutput:
-    """Run `program` once on an allocated backend, for at most STEP_LIMIT steps.
+def execute_shot(program: tuple, backend, rng) -> ShotOutput:
+    """Run `program` (compile_program's blocks) once on an allocated backend.
 
-    A measurement's outcome is 1 iff rng.random() < p1.  run_program passes
-    a _Miss as `rng`: the shot then resumes where its walk's first node
-    stored it (the backend holds that state), or starts at block 0, takes
-    the walk's outcomes, then draws, adds a node per draw to the trie and
-    seals its output as a leaf.
+    A shot faults past STEP_LIMIT steps.  Its result bits are a dict of the
+    results written so far.  A measurement's outcome is 1 iff
+    rng.random() < p1.  run_program passes a _Miss as `rng`: the shot then
+    resumes where its walk's first node stored it (the backend holds that
+    state), or starts at block 0, takes the walk's outcomes, then draws,
+    adds a node per draw to the trie and seals its output as a leaf.
     """
     miss = rng if isinstance(rng, _Miss) else _Miss(rng)
-    tail, trie = miss.tail, miss.trie
+    tail, trie, recorder = miss.tail, miss.trie, ShotRecorder()
     start = miss.walk[0][0].resume if miss.walk else None
     taken, steps, cursor, ssa, bits, entries, recorder.declared_len = start or (
-        0, program.blocks[0], 0, {}, [None] * program.num_results, [], None)
-    ssa, bits, recorder.entries = dict(ssa), list(bits), list(entries)
+        0, program[0], 0, {}, {}, [], None)
+    ssa, bits, recorder.entries = dict(ssa), dict(bits), list(entries)
     replay = iter([outcome for _, outcome in miss.walk])
 
     def choose(p1, amplitudes):
@@ -220,7 +221,7 @@ def execute_shot(program: Program, backend, recorder: ShotRecorder, rng) -> Shot
                 trie.stored_amplitudes + amplitudes.size <= MAX_STORED_AMPLITUDES:
             trie.stored_amplitudes += amplitudes.size
             node.state, node.resume = amplitudes.copy(), (
-                taken, steps, cursor - 1, dict(ssa), list(bits), list(recorder.entries),
+                taken, steps, cursor - 1, dict(ssa), dict(bits), list(recorder.entries),
                 recorder.declared_len)
         tail[0][tail[1]] = node
         tail = (node.children, outcome)
@@ -247,12 +248,12 @@ def execute_shot(program: Program, backend, recorder: ShotRecorder, rng) -> Shot
             result, label = args
             recorder.record_result(_result_bit(bits, result), label)
         elif code is Control.JUMP:
-            steps, cursor = program.blocks[args[0]], 0
+            steps, cursor = program[args[0]], 0
         elif code is Control.BRANCH:
             name, then_index, else_index = args
             if name not in ssa:
                 raise RuntimeFault(f"use of unbound SSA value {name}")
-            steps, cursor = program.blocks[then_index if ssa[name] else else_index], 0
+            steps, cursor = program[then_index if ssa[name] else else_index], 0
         elif code is Control.RETURN:
             output = recorder.finalize()
             if tail is not None:
@@ -297,7 +298,7 @@ def run_program(
                 backend.allocate(entry.num_qubits, walk[0][0].state if walk else None)
                 miss = _Miss(streams.generator(low), walk, (slots, slot), trie)
                 try:
-                    held = execute_shot(program, backend, ShotRecorder(), miss)
+                    held = execute_shot(program, backend, miss)
                 except RuntimeFault as fault:
                     raise RuntimeFault(f"shot {first + low}: {fault}") from fault
                 if rows.size > 1:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from qirvm import (
     RunConfig,
     RuntimeFault,
-    ShotRecorder,
     StatevectorBackend,
     aggregate,
     compile_program,
@@ -126,8 +125,7 @@ def reference(module, entry, shots, seed):
         backend = StatevectorBackend()
         backend.allocate(entry.num_qubits)
         try:
-            outputs.append(execute_shot(compiled, backend, ShotRecorder(),
-                                        shot_rng(seed, shot_index)))
+            outputs.append(execute_shot(compiled, backend, shot_rng(seed, shot_index)))
         except RuntimeFault as fault:
             return RuntimeFault(f"shot {shot_index}: {fault}")
     return emit_json(aggregate(
@@ -165,6 +163,10 @@ def feed_forward_programs(draw):
     Some rounds measure again between binding a bit and branching on it,
     and some record their bit before later measurements, so a shot that
     resumes at a later measurement needs its SSA values and records.
+    Some branch arms end by measuring a random bit into the result of an
+    earlier round, so a shot that resumes where an earlier one did and
+    takes the other arm must read the result bits of the resume point, not
+    the earlier shot's writes.
     """
     n = draw(st.integers(1, 4))
     num_results = draw(st.integers(1, 3))
@@ -198,13 +200,14 @@ def feed_forward_programs(draw):
                 lines.append(call("reset", qubit(draw(st.integers(0, n - 1)))))
         return lines
 
-    def measure_random_bit():
-        r, q = draw(st.integers(0, num_results - 1)), draw(st.integers(0, n - 1))
+    def measure_random_bit(r=None):
+        r = draw(st.integers(0, num_results - 1)) if r is None else r
+        q = draw(st.integers(0, n - 1))
         measured.add(r)
         # a rotation first, so most branch conditions are random
         return r, [call("ry", f"double {hexdouble(draw(angles))}", qubit(q)), mz(q, r)]
 
-    lines, recorded_before = ops(), 0
+    lines, recorded_before, earlier = ops(), 0, set()
     for index in range(draw(st.integers(0, 4))):
         r, measure = measure_random_bit()
         lines += measure
@@ -212,7 +215,11 @@ def feed_forward_programs(draw):
             lines.append(record(r))
             recorded_before += 1
         before_br = measure_random_bit()[1] if draw(st.integers(0, 2)) else []
-        lines += branch(index, r, ops(), ops(), before_br)
+        overwrite = sorted(earlier - {r})
+        arms = [ops() + (measure_random_bit(draw(st.sampled_from(overwrite)))[1]
+                         if overwrite and draw(st.booleans()) else []) for _ in range(2)]
+        lines += branch(index, r, *arms, before_br)
+        earlier.add(r)
         lines += ops()
     return program(lines, n, sorted(measured), num_results, recorded_before)
 
@@ -242,6 +249,20 @@ def three_coin_flips(if_111, if_011=None, otherwise=()):
     return [*(call("h", qubit(q)) for q in range(3)), *(mz(q, q) for q in range(3)),
             *branch(0, 0, branch(1, 1, branch(2, 2, if_111, otherwise), otherwise),
                     branch(3, 1, branch(4, 2, if_011, otherwise), otherwise))]
+
+
+def test_shots_resuming_at_one_node_read_its_result_bits():
+    # Past the node cap, every shot with shot 0's first two outcomes resumes
+    # at its third draw.  One that takes the else arm records result 0 as
+    # measured before that node, not as an earlier resumed shot's then arm
+    # overwrote it.
+    def coin(r):
+        return [call("h", qubit(0)), mz(0, r)]
+
+    source = program([*coin(0), *coin(1), *coin(1), *branch(0, 1, coin(0), [])], 1, [0, 1], 2)
+    with mock.patch.object(interpreter, "MAX_TRIE_NODES", 3):
+        for seed in range(3):
+            assert_matches_reference(source, shots=64, seed=seed)
 
 
 def test_lowest_faulting_shot_past_the_first_chunk():

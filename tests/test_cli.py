@@ -218,3 +218,39 @@ def test_gep_array_length_must_match_global(tmp_path, capsys, array_types):
     assert main(["run", write(tmp_path, src)]) == EX_DATAERR
     where = f"line 10:{call.index('[7') + 1}"
     assert f"{where}: [7 x i8] does not match the 3-byte string" in capsys.readouterr().err
+
+
+RESULT_COUNT_DECLS = """\
+declare void @__quantum__qis__h__body(%Qubit*)
+declare void @__quantum__qis__mz__body(%Qubit*, %Result* writeonly)
+declare void @__quantum__rt__array_record_output(i64, i8*)
+declare void @__quantum__rt__result_record_output(%Result*, i8*)"""
+
+
+# A shot holds only the results it wrote, so no result count sizes a
+# per-shot allocation.  A count inferred from index 10**12 is 10**12 + 1.
+@pytest.mark.parametrize("operand, count_attr, num_results", [
+    ("%Result* null", ' "num_required_results"="1000000000000"', 10 ** 12),
+    ("%Result* inttoptr (i64 1000000000000 to %Result*)", "", 10 ** 12 + 1),
+], ids=["declared", "indexed"])
+def test_huge_result_count_runs_in_bounded_memory(operand, count_attr, num_results, tmp_path,
+                                                  capsys):
+    source = make_program(
+        "entry:\n"
+        "  call void @__quantum__qis__h__body(%Qubit* null)\n"
+        f"  call void @__quantum__qis__mz__body(%Qubit* null, {operand})\n"
+        "  call void @__quantum__rt__array_record_output(i64 1, i8* null)\n"
+        f"  call void @__quantum__rt__result_record_output({operand}, i8* null)\n"
+        "  ret void",
+        declarations=RESULT_COUNT_DECLS,
+        attrs='"entry_point" "num_required_qubits"="1"' + count_attr,
+    )
+    module = parse_module(source)
+    entry = find_entry(module)
+    result = run_program(module, entry, default_registry(), RunConfig(shots=64, seed=3))
+    assert result.num_results == num_results
+    assert set(result.histogram) == {"0", "1"}
+    assert main(["run", write(tmp_path, source), "--shots", "64", "--seed", "3"]) == EX_OK
+    out = capsys.readouterr().out
+    assert f'"num_results": {num_results},' in out
+    assert json.loads(out)["histogram"] == result.histogram

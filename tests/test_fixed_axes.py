@@ -46,9 +46,6 @@ def prob_one(amplitudes, qubit):
 class FullLayoutBackend:
     """The statevector semantics without a map: every step on all 2^n amplitudes."""
 
-    def name(self):
-        return "statevector"
-
     def allocate(self, num_qubits, state=None):
         self.n = num_qubits
         if state is None:
@@ -87,9 +84,6 @@ class Twin:
 
     def __init__(self):
         self.real, self.oracle = StatevectorBackend(), FullLayoutBackend()
-
-    def name(self):
-        return "statevector"
 
     def allocate(self, num_qubits, state=None):
         self.real.allocate(num_qubits, state)

@@ -6,7 +6,6 @@ import pytest
 from qirvm import (
     RunConfig,
     RuntimeFault,
-    ShotRecorder,
     StatevectorBackend,
     TraceBackend,
     compile_program,
@@ -21,9 +20,9 @@ from qirvm import (
 )
 from qirvm import interpreter
 from qirvm.analyze import Control
-from qirvm.ir import render_module
 
 from conftest import make_program
+from irprint import render_module
 
 MEASURE_DECLS = """\
 declare void @__quantum__qis__x__body(%Qubit*)
@@ -166,7 +165,7 @@ def test_constant_condition_branch_is_a_jump_to_the_named_block(cond, taken, bit
     entry = find_entry(module)
     labels = [block.label for block in module.function(entry.function_name).blocks]
     program = compile_program(module, entry, default_registry())
-    assert program.blocks[0] == ((Control.JUMP, labels.index(taken)),)
+    assert program[0] == ((Control.JUMP, labels.index(taken)),)
     assert run(src, shots=8).histogram == {bit: 8}
 
 
@@ -177,7 +176,7 @@ def test_teleport_executes_10_to_12_qis_calls_per_shot(teleport_module, teleport
         backend = TraceBackend(measure_bits=list(bits))
         backend.allocate(teleport_entry.num_qubits)
         execute_shot(compile_program(teleport_module, teleport_entry, default_registry()),
-                     backend, ShotRecorder(), shot_rng(0, 0))
+                     backend, shot_rng(0, 0))
         assert len(backend.log) + 2 == expected_qis_calls
 
 
@@ -186,7 +185,7 @@ def test_teleport_forced_bits_give_expected_bitstring(teleport_module, teleport_
     backend.allocate(teleport_entry.num_qubits)
     out = execute_shot(
         compile_program(teleport_module, teleport_entry, default_registry()),
-        backend, ShotRecorder(), shot_rng(0, 0),
+        backend, shot_rng(0, 0),
     )
     assert out.bitstring == "100"
 
@@ -285,7 +284,7 @@ def test_branch_soundness_on_crafted_program():
     for bit, gate in [(1, "x"), (0, "h")]:
         backend = TraceBackend(measure_bits=[bit])
         backend.allocate(1)
-        execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder(),
+        execute_shot(compile_program(module, entry, default_registry()), backend,
                      shot_rng(0, 0))
         assert backend.log[-1][0] == gate
 
@@ -295,7 +294,7 @@ def test_statevector_backend_through_interpreter(teleport_module, teleport_entry
     backend.allocate(teleport_entry.num_qubits)
     out = execute_shot(
         compile_program(teleport_module, teleport_entry, default_registry()),
-        backend, ShotRecorder(), np.random.default_rng(0),
+        backend, np.random.default_rng(0),
     )
     assert len(out.bitstring) == 3
     assert out.bitstring[2] == "0"  # teleported |0> always measures 0

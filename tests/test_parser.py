@@ -13,11 +13,11 @@ from qirvm.ir import (
     LabelConst,
     QubitRef,
     ResultRef,
-    render_module,
 )
 from qirvm.parser import parse_double_literal
 
 from conftest import QPE_LL, TELEPORT_LL, make_program
+from irprint import render_module
 from test_properties import FUZZ_BASE
 
 # FUZZ_BASE with its label payload holding a quote, a backslash and a newline

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from qirvm import ShotRecorder, aggregate, emit_json, parse_module
 from qirvm.cli import main
-from qirvm.ir import render_module
 from qirvm.parser import parse_double_literal
 
 from conftest import TELEPORT_LL, parse_json, qpe_reference_distribution
+from irprint import render_module
 from test_branching import feed_forward_programs
 
 META = dict(

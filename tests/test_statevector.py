@@ -8,6 +8,7 @@ from qirvm import (
     RunConfig,
     RuntimeFault,
     StatevectorBackend,
+    TraceBackend,
     create_backend,
     default_registry,
     find_entry,
@@ -303,8 +304,8 @@ def test_every_gate_class_matches_the_allocating_formula_after_a_projection(n):
 
 
 def test_create_backend_factory():
-    assert create_backend("statevector").name() == "statevector"
-    assert create_backend("trace").name() == "trace"
+    assert type(create_backend("statevector")) is StatevectorBackend
+    assert type(create_backend("trace")) is TraceBackend
 
 
 def test_create_backend_unknown_lists_choices():

@@ -1,5 +1,4 @@
 from qirvm import (
-    ShotRecorder,
     TraceBackend,
     compile_program,
     default_registry,
@@ -16,8 +15,7 @@ def run_traced(module, measure_bits):
     entry = find_entry(module)
     backend = TraceBackend(measure_bits=measure_bits)
     backend.allocate(entry.num_qubits)
-    execute_shot(compile_program(module, entry, default_registry()), backend, ShotRecorder(),
-                 shot_rng(0, 0))
+    execute_shot(compile_program(module, entry, default_registry()), backend, shot_rng(0, 0))
     return backend.log
 
 
