@@ -134,7 +134,8 @@ def _apply_2x2(zero: np.ndarray, one: np.ndarray, matrix: np.ndarray, scratch: n
     multiply per half through a `scratch` row, any other m0*zero + m1*one.
     The bits are the allocating formula's, but for the sign of exact zeros.
     Every multiply puts the scalar first, as the formula does, and none
-    works in place on one element: numpy rounds either of those differently.
+    works in place on one element or, but by the exact 1 and +-i, reads
+    `zero` into `one`: numpy rounds each of those differently.
     """
     size = zero.size
     if matrix[0, 1] == 0 and matrix[1, 0] == 0 and size > 1:
@@ -145,15 +146,16 @@ def _apply_2x2(zero: np.ndarray, one: np.ndarray, matrix: np.ndarray, scratch: n
     if matrix[0, 0] == 0 and matrix[1, 1] == 0:
         np.multiply(matrix[0, 1], one, out=new_zero)
         np.multiply(matrix[1, 0], zero, out=one)
-    else:
-        term = scratch[1, :size].reshape(zero.shape)
-        np.multiply(matrix[0, 0], zero, out=new_zero)
-        np.multiply(matrix[0, 1], one, out=term)
-        np.add(new_zero, term, out=new_zero)
-        np.multiply(matrix[1, 1], one, out=term)
-        np.multiply(matrix[1, 0], zero, out=one)
-        np.add(one, term, out=one)
+        zero[...] = new_zero
+        return
+    term = scratch[1, :size].reshape(zero.shape)
+    np.multiply(matrix[0, 0], zero, out=new_zero)
+    np.multiply(matrix[0, 1], one, out=term)
+    np.add(new_zero, term, out=new_zero)
+    np.multiply(matrix[1, 0], zero, out=term)
     zero[...] = new_zero
+    np.multiply(matrix[1, 1], one, out=new_zero)
+    np.add(term, new_zero, out=one)
 
 
 def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:

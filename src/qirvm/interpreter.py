@@ -5,16 +5,14 @@ its blocks once per trie miss, with a fresh backend, SSA environment,
 result bits and recorder, and an RNG stream derived deterministically from
 (seed, shot_index), by shot_rng for one shot or ShotStreams for many.
 Shots are therefore order-independent: a shot whose outcome history an
-earlier shot already ran reuses that work (see OutcomeTrie), and a shot
-that misses resumes where its walk last stored a state, replays the
-walk's outcomes and continues the stream that routed it, so each gets the
-output it would compute alone.  Only this module routes, replays and
-stores shots.  A shot that takes more than STEP_LIMIT steps faults.
+earlier shot already ran reuses that work (see OutcomeTrie), and a group
+that misses runs as one shot, which the others leave where their draws
+differ (see _Miss), so each gets the output it would compute alone.  Only
+this module routes, replays and stores shots; a shot past STEP_LIMIT steps faults.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -138,20 +136,21 @@ class ShotStreams:
 # Shot branching.  The gates a shot applies between two measurements depend
 # only on the outcomes drawn before them, so a run keeps one trie of outcome
 # histories.  A node is the point just before a measurement draw reached by
-# one history: it holds that draw's p1 and, within a budget, the state there
-# and where the shot was.  A leaf holds the output the history records.
-# Every stored value is what a shot with that history computes from |0...0>
-# by the same float operations, so a shot that resumes from them draws the
-# same outcomes.
+# one history: it holds that draw's p1 and, where shots part and within a
+# budget, the state there and where the shot was.  A leaf holds the output
+# the history records.  Every stored value is what a shot with that history
+# computes from |0...0> by the same float operations, so a shot that resumes
+# from them draws the same outcomes.
 MAX_TRIE_NODES = 1 << 16
 MAX_STORED_AMPLITUDES = 1 << 16
 
 
 class _Node:
-    __slots__ = ("p1", "state", "resume", "children")
+    __slots__ = ("p1", "up", "depth", "state", "resume", "children")
 
-    def __init__(self, p1: float):
-        self.p1 = p1
+    def __init__(self, p1, up=None):
+        self.p1, self.up = p1, up  # up: the (node, outcome) slot it fills, None at the root
+        self.depth = up[0].depth + 1 if up else 0
         # if stored: a copy of the amplitudes before the draw, and (step count,
         # steps, cursor, SSA values, result bits, recorder entries, declared
         # length) at the MEASURE/RESET step that draws
@@ -159,26 +158,61 @@ class _Node:
         self.children = [None, None]  # per outcome: a _Node, a leaf, or None
 
 
+def _walk(node: _Node, outcome: int) -> list:
+    """The (node, outcome) pairs down to that slot, from the deepest stored state or the root."""
+    walk = []
+    while node.up is not None:
+        walk.append((node, outcome))
+        if node.state is not None:
+            break
+        node, outcome = node.up
+    return walk[::-1]
+
+
 class OutcomeTrie:
     """One run's outcome-history trie; run_program walks it, execute_shot extends it."""
 
     def __init__(self):
-        self.root = [None]
-        self.nodes = self.stored_amplitudes = 0
+        self.root = _Node(None)  # draws nothing: slot 0 holds the first node or leaf
+        self.nodes, self.stored = 0, {}  # stored: the nodes holding a state, in order
+
+    def store(self, node: _Node, amplitudes, resume: tuple, waiting: list):
+        """Store the state where a group parts, within MAX_STORED_AMPLITUDES.
+
+        The states of one run are of one size.  A full budget drops the
+        states no group on `waiting` resumes from; if each is needed, the
+        shallowest gives way to a deeper `node`.
+        """
+        if amplitudes is None:
+            return
+        if (len(self.stored) + 1) * amplitudes.size > MAX_STORED_AMPLITUDES:
+            needed = {walk[0][0] for walk in (_walk(up, slot) for _, up, slot in waiting) if walk}
+            shallowest = min(self.stored, key=lambda old: old.depth, default=node)
+            drop = [old for old in self.stored if old not in needed]
+            if not drop and shallowest.depth >= node.depth:
+                return
+            for old in drop or [shallowest]:
+                del self.stored[old]
+                old.state = old.resume = None
+        self.stored[node] = None
+        node.state, node.resume = amplitudes.copy(), resume
 
 
 class _Miss(NamedTuple):
-    """A shot of run_program at an empty trie slot, `tail` = (children, outcome).
+    """A group of run_program at an empty trie slot, `tail` = (node, outcome).
 
-    `walk` holds the (node, outcome) pairs routing drew for it, from the
-    deepest node that stores a state or from the root, and `rng` continues
-    its stream past them.
+    Its lowest shot resumes at `walk` (see _walk) and continues its stream
+    in `rng`.  At each node it adds, `others` draw from `streams`; those whose
+    outcome differs wait on `waiting` at its other slot, the rest at the leaf.
     """
 
     rng: np.random.Generator
-    walk: tuple = ()
+    walk: list = ()
     tail: Optional[tuple] = None
     trie: Optional[OutcomeTrie] = None
+    streams: Optional[ShotStreams] = None
+    others: Optional[np.ndarray] = None
+    waiting: Optional[list] = None
 
 
 def _result_bit(bits: dict, index: int) -> int:
@@ -196,10 +230,10 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     rng.random() < p1.  run_program passes a _Miss as `rng`: the shot then
     resumes where its walk's first node stored it (the backend holds that
     state), or starts at block 0, takes the walk's outcomes, then draws,
-    adds a node per draw to the trie and seals its output as a leaf.
+    adds a node per draw, parting its others there, and seals its leaf.
     """
     miss = rng if isinstance(rng, _Miss) else _Miss(rng)
-    tail, trie, recorder = miss.tail, miss.trie, ShotRecorder()
+    tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
     start = miss.walk[0][0].resume if miss.walk else None
     taken, steps, cursor, ssa, bits, entries, recorder.declared_len = start or (
         0, program[0], 0, {}, {}, [], None)
@@ -207,24 +241,29 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     replay = iter([outcome for _, outcome in miss.walk])
 
     def choose(p1, amplitudes):
-        nonlocal tail
+        nonlocal tail, others
         outcome = next(replay, None)
         if outcome is not None:
             return outcome
         outcome = 1 if miss.rng.random() < p1 else 0
-        if tail is None or trie.nodes >= MAX_TRIE_NODES:
+        if tail is None:
+            return outcome
+        if trie.nodes >= MAX_TRIE_NODES:  # the trie stops growing: the others wait here
+            if others.size:
+                miss.waiting.append((others, *tail))
             tail = None
             return outcome
         trie.nodes += 1
-        node = _Node(p1)
-        if amplitudes is not None and \
-                trie.stored_amplitudes + amplitudes.size <= MAX_STORED_AMPLITUDES:
-            trie.stored_amplitudes += amplitudes.size
-            node.state, node.resume = amplitudes.copy(), (
-                taken, steps, cursor - 1, dict(ssa), dict(bits), list(recorder.entries),
-                recorder.declared_len)
-        tail[0][tail[1]] = node
-        tail = (node.children, outcome)
+        node = tail[0].children[tail[1]] = _Node(p1, tail)
+        if others.size:
+            leave = (miss.streams.random(others) < p1) != outcome
+            if leave.any():
+                trie.store(node, amplitudes, (
+                    taken, steps, cursor - 1, dict(ssa), dict(bits), list(recorder.entries),
+                    recorder.declared_len), miss.waiting)
+                miss.waiting.append((others[leave], node, 1 - outcome))
+                others = others[~leave]
+        tail = (node, outcome)
         return outcome
 
     for taken in range(taken, STEP_LIMIT):  # a resumed shot counts its steps from block 0
@@ -257,7 +296,9 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         elif code is Control.RETURN:
             output = recorder.finalize()
             if tail is not None:
-                tail[0][tail[1]] = output
+                tail[0].children[tail[1]] = output
+                if others.size:  # they take the leaf
+                    miss.waiting.append((others, *tail))
             return output
         elif code is Control.FAULT:
             raise RuntimeFault(args[0])
@@ -273,13 +314,11 @@ def run_program(
 ) -> RunResult:
     """Execute the entry function config.shots times and aggregate.
 
-    Shots go through one OutcomeTrie SHOT_CHUNK at a time, in groups taken
-    lowest shot index first.  A group at a node draws from ShotStreams and
-    splits on u < p1, noting (node, outcome) on its walk; a group at a
-    leaf takes its output.  At an empty slot the group's lowest shot runs
-    alone: it resumes from the walk's deepest stored state, replays the
-    walk's outcomes, continues its stream past them and extends the trie;
-    the rest waits there again.  Every lower shot has its output by then,
+    Shots go through one OutcomeTrie SHOT_CHUNK at a time, in groups on a
+    stack, deepest parting first.  A group at a node draws from ShotStreams
+    and splits on u < p1; a group at a leaf takes its output; at an empty
+    slot it runs as one _Miss.  A fault is kept if its shot is the lowest
+    yet, misses above that shot are skipped, and the chunk then raises it,
     so a fault names the lowest faulting shot.
     """
     program = compile_program(module, entry, registry)
@@ -288,32 +327,30 @@ def run_program(
     for first in range(0, config.shots, SHOT_CHUNK):
         count = min(SHOT_CHUNK, config.shots - first)
         streams = ShotStreams(config.seed, first, count)
-        taken = []  # (rows, output) per group that has its output
-        waiting = [(0, np.arange(count), trie.root, 0, ())]
+        taken, fault = [], None  # (rows, output) per group that has its output; (row, fault)
+        waiting = [(np.arange(count), trie.root, 0)]  # (rows, node, outcome) of each group
         while waiting:
-            low, rows, slots, slot, walk = heapq.heappop(waiting)
-            held = slots[slot]
-            if held is None:
+            rows, node, outcome = waiting.pop()
+            held = node.children[outcome]
+            if isinstance(held, _Node):
+                ones = streams.random(rows) < held.p1
+                waiting += [(part, held, outcome) for outcome, part in
+                            ((0, rows[~ones]), (1, rows[ones])) if part.size]
+            elif held is not None:
+                taken.append((rows, held))
+            elif fault is None or rows[0] < fault[0]:
+                walk = _walk(node, outcome)
                 backend = create_backend(config.backend_choice)
                 backend.allocate(entry.num_qubits, walk[0][0].state if walk else None)
-                miss = _Miss(streams.generator(low), walk, (slots, slot), trie)
+                miss = _Miss(streams.generator(rows[0]), walk, (node, outcome), trie, streams,
+                             rows[1:], waiting)
                 try:
-                    held = execute_shot(program, backend, miss)
-                except RuntimeFault as fault:
-                    raise RuntimeFault(f"shot {first + low}: {fault}") from fault
-                if rows.size > 1:
-                    heapq.heappush(waiting, (int(rows[1]), rows[1:], slots, slot, walk))
-                rows = rows[:1]
-            elif not isinstance(held, ShotOutput):  # a trie node
-                ones = streams.random(rows) < held.p1
-                if held.state is not None:  # a miss past here resumes from it
-                    walk = ()
-                for outcome, part in (1, rows[ones]), (0, rows[~ones]):
-                    if part.size:
-                        heapq.heappush(waiting, (int(part[0]), part, held.children, outcome,
-                                                 walk + ((held, outcome),)))
-                continue
-            taken.append((rows, held))
+                    taken.append((rows[:1], execute_shot(program, backend, miss)))
+                except RuntimeFault as error:
+                    fault = (rows[0], error)
+        if fault is not None:
+            raise RuntimeFault(f"shot {first + fault[0]}: {fault[1]}") from fault[1]
+        taken.sort(key=lambda group: group[0][0])
         histogram.add_groups(taken, count)
 
     return histogram.result(

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -232,7 +233,7 @@ SMALL_CHUNK = 5
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
-       st.sampled_from([interpreter.MAX_STORED_AMPLITUDES, 32, 0]),
+       st.sampled_from([interpreter.MAX_STORED_AMPLITUDES, 32, 8, 0]),
        st.sampled_from([interpreter.MAX_TRIE_NODES, 3]),
        st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]))
 def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes,
@@ -320,13 +321,9 @@ def allocated_states():
         yield states
 
 
-def test_state_too_large_to_store_starts_misses_from_zero_state():
-    n = 17
-    assert 2 ** n > interpreter.MAX_STORED_AMPLITUDES
-    lines = [call("h", qubit(0)), mz(0, 0), *branch(0, 0, [call("x", qubit(n - 1))], []),
-             call("h", qubit(1)), mz(1, 1), mz(n - 1, 2)]
-    source = program(lines, n, [0, 1, 2], 3)
-    assert_matches_reference(source, shots=24, seed=3)
+@contextlib.contextmanager
+def captured_trie():
+    """Collect the OutcomeTrie each run_program builds."""
     tries = []
     real_trie = interpreter.OutcomeTrie
 
@@ -334,12 +331,23 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
         tries.append(real_trie())
         return tries[-1]
 
-    with allocated_states() as states, mock.patch.object(interpreter, "OutcomeTrie", outcome_trie):
+    with mock.patch.object(interpreter, "OutcomeTrie", outcome_trie):
+        yield tries
+
+
+def test_state_too_large_to_store_starts_misses_from_zero_state():
+    n = 17
+    assert 2 ** n > interpreter.MAX_STORED_AMPLITUDES
+    lines = [call("h", qubit(0)), mz(0, 0), *branch(0, 0, [call("x", qubit(n - 1))], []),
+             call("h", qubit(1)), mz(1, 1), mz(n - 1, 2)]
+    source = program(lines, n, [0, 1, 2], 3)
+    assert_matches_reference(source, shots=24, seed=3)
+    with allocated_states() as states, captured_trie() as tries:
         run(source, shots=24, seed=3)
     # every miss after the first replays a walk, and each starts from |0...0>
     assert len(states) > 1 and all(state is None for state in states)
     [trie] = tries
-    assert trie.nodes > 0 and trie.stored_amplitudes == 0
+    assert trie.nodes > 0 and not trie.stored
 
 
 def test_a_miss_computes_no_gate_before_its_stored_state():
@@ -365,23 +373,128 @@ def test_a_miss_computes_no_gate_before_its_stored_state():
     assert len(on_qubit_0) == gates
 
 
-def test_misses_resume_from_one_stored_state_with_its_values_and_records():
-    # the budget stores the states at the first two draws only, so the other
-    # misses all resume from the second one: after result 0 is recorded and
-    # bound to %c0, which the branch after that draw reads
+def test_parted_shots_resume_from_a_stored_state_with_its_values_and_records():
+    # every shot measures result 0 as 1, records it and binds it to %c0;
+    # shots part at the second draw, and those that leave resume from the
+    # state stored there, before the branch that reads %c0
     lines = [call("x", qubit(0)), mz(0, 0), record(0),
              f"  %c0 = call i1 @__quantum__qis__read_result__body({result(0)})",
              call("h", qubit(1)), mz(1, 1), "  br i1 %c0, label %then0, label %else0",
              "then0:", call("x", qubit(1)), "  br label %join0", "else0:", "  br label %join0",
              "join0:", call("h", qubit(1)), mz(1, 2)]
     source = program(lines, 2, [1, 2], 3, recorded_before=1)
-    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 8):
-        assert_matches_reference(source, shots=32, seed=4)
-        with allocated_states() as states:
-            histogram = run(source, shots=32, seed=4).histogram
+    assert_matches_reference(source, shots=32, seed=4)
+    with allocated_states() as states, captured_trie() as tries:
+        histogram = run(source, shots=32, seed=4).histogram
     assert sorted(histogram) == ["100", "101", "110", "111"]
-    resumed = [state for state in states if state is not None]
-    assert len(resumed) == 3 and all(state is resumed[0] for state in resumed)
+    second_draw = tries[0].root.children[0].children[1]
+    assert second_draw.state is not None
+    assert any(state is second_draw.state for state in states)
+
+
+def gates_per_history_prefix(source, shots, seed):
+    """{outcome-history prefix: gates a shot applies after it}, by the per-shot loop."""
+    module = parse_module(source)
+    entry = find_entry(module)
+    compiled = compile_program(module, entry, default_registry())
+    events = []
+    real_apply, real_measure = StatevectorBackend.apply_gate, StatevectorBackend.measure
+
+    def apply_gate(backend, *args):
+        events.append(None)
+        real_apply(backend, *args)
+
+    def measure(backend, qubit, choose):
+        events.append(real_measure(backend, qubit, choose))
+        return events[-1]
+
+    gates = {}
+    with mock.patch.multiple(StatevectorBackend, apply_gate=apply_gate, measure=measure):
+        for shot in range(shots):
+            events.clear()
+            backend = StatevectorBackend()
+            backend.allocate(entry.num_qubits)
+            execute_shot(compiled, backend, shot_rng(seed, shot))
+            history = ()
+            gates[history] = 0
+            for event in events:
+                if event is None:
+                    gates[history] += 1
+                else:
+                    history += (event,)
+                    gates[history] = 0
+    return gates
+
+
+def test_each_history_prefix_runs_its_gates_once():
+    # rounds of gates and a coin flip whose outcome picks the next gates;
+    # measuring the coin again adds a node where no shots part, so storing
+    # a state at every node would overrun this budget, but one at every
+    # parting does not
+    lines = []
+    for index in range(4):
+        lines += [call("ry", f"double {hexdouble(0.3 + index)}", qubit(0)), call("h", qubit(1)),
+                  mz(1, index), mz(1, index),
+                  *branch(index, index, [call("x", qubit(0))],
+                          [call("y", qubit(0)), call("s", qubit(0))])]
+    source = program(lines, 2, [0, 1, 2, 3], 4)
+    shots, seed = 64, 3
+    gates = gates_per_history_prefix(source, shots, seed)
+    assert len(gates) == 1 + 2 * (2 + 4 + 8 + 16)  # every history occurs
+    counted = []
+    real_apply = StatevectorBackend.apply_gate
+
+    def apply_gate(backend, *args):
+        counted.append(args)
+        real_apply(backend, *args)
+
+    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 16 * 4):  # 16 states
+        assert_matches_reference(source, shots, seed)
+        with mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
+            run(source, shots, seed)
+    assert len(counted) == sum(gates.values())
+
+
+def test_a_full_budget_gives_a_needed_state_to_a_deeper_parting():
+    trie = interpreter.OutcomeTrie()
+    nodes = [trie.root]
+    for _ in range(3):
+        nodes.append(interpreter._Node(0.5, (nodes[-1], 0)))
+    _, first, second, third = nodes
+    amplitudes, rows = np.ones(4, dtype=complex), np.arange(2)
+    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 8):  # two states
+        trie.store(first, amplitudes, (), [])
+        trie.store(second, amplitudes, (), [(rows, first, 1)])
+        assert list(trie.stored) == [first, second]
+        # both are needed: the shallowest gives way to a deeper parting ...
+        waiting = [(rows, first, 1), (rows, second, 1)]
+        trie.store(third, amplitudes, (), waiting)
+        assert list(trie.stored) == [second, third] and first.state is first.resume is None
+        # ... but not to a shallower one
+        trie.store(first, amplitudes, (), waiting + [(rows, third, 1)])
+        assert list(trie.stored) == [second, third] and first.state is None
+        # states no waiting group resumes from are dropped first
+        trie.store(first, amplitudes, (), [(rows, third, 1)])
+        assert list(trie.stored) == [third, first]
+
+
+def test_a_two_state_budget_evicts_and_matches_the_per_shot_loop():
+    # five rounds of a gate on qubit 0 and a coin flip on qubit 1
+    lines = []
+    for r in range(5):
+        lines += [call("ry", f"double {hexdouble(0.7 * r + 0.2)}", qubit(0)), call("h", qubit(1)),
+                  mz(1, r)]
+    source = program(lines, 2, list(range(5)), 5)
+    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 8):  # two 2-qubit states
+        assert_matches_reference(source, shots=64, seed=2)
+        with allocated_states() as states:
+            run(source, shots=64, seed=2)
+    # some group's state gave way to a deeper parting's, so it starts again
+    # from |0...0>; with the default budget none does
+    assert states[0] is None and any(state is None for state in states[1:])
+    with allocated_states() as states:
+        run(source, shots=64, seed=2)
+    assert states[0] is None and all(state is not None for state in states[1:])
 
 
 @pytest.mark.parametrize("before, spin", [
@@ -409,6 +522,29 @@ def test_fault_names_lowest_faulting_shot():
     faults = {seed: assert_matches_reference(source, shots=16, seed=seed) for seed in range(4)}
     assert all("use of unmeasured result 2" in str(f) for f in faults.values())
     assert {str(f).split(":")[0] for f in faults.values()} != {"shot 0"}
+
+
+def test_fault_reached_first_on_a_deeper_parting_names_the_lower_shot():
+    # at seed 21, shot 0 draws 000 and parts the others at each draw; shot 2
+    # (1..) faults on result 4 and shot 4 (001) on result 3, and the group
+    # of shot 4, which parted deeper, runs first
+    lines = [*(call("h", qubit(q)) for q in range(3)), *(mz(q, q) for q in range(3)),
+             *branch(0, 0, [record(4)], branch(1, 1, [], branch(2, 2, [record(3)], [])))]
+    source = program(lines, 3, [0, 1, 2], 5)
+    faults = []
+    real_execute = interpreter.execute_shot
+
+    def execute_shot(*args):
+        try:
+            return real_execute(*args)
+        except RuntimeFault as fault:
+            faults.append(str(fault))
+            raise
+
+    with mock.patch.object(interpreter, "execute_shot", execute_shot):
+        fault = assert_matches_reference(source, shots=8, seed=21)
+    assert faults == ["use of unmeasured result 3", "use of unmeasured result 4"]
+    assert str(fault) == "shot 2: use of unmeasured result 4"
 
 
 def _cli_json(args):

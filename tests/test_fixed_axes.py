@@ -189,6 +189,17 @@ def test_branching_programs_match_the_oracle_at_every_step(source, shots, seed, 
             pass
 
 
+def test_subnormal_products_of_sy_match_the_oracle():
+    # amplitude 5 holds (5e-311-1.1e-308j) before the sy; its product with
+    # sy's 0.5(1+i) is subnormal, and numpy's multiply loop for an output
+    # that overlaps an input rounded its imaginary part one ulp away from
+    # the allocating formula's (0x8003efdbd26539b5, not ...b6)
+    steps = [(GateId.RY, (1e-310,), (2,)), (GateId.RX, (2.2e-308,), (2,)),
+             (GateId.RX, (1e-310,), (4,)), (GateId.T, (), (4,)), (GateId.CZ, (), (2, 0)),
+             (GateId.Z, (), (0,)), (GateId.RX, (2.2e-308,), (1,)), (GateId.SY, (), (0,))]
+    run_steps(5, steps, seed=0)
+
+
 def sticky_x(real_apply):
     """apply_gate, but an x leaves its target's entry in the map."""
     def apply_gate(backend, gate_id, params, targets):
@@ -293,7 +304,7 @@ def test_trie_nodes_store_the_same_amplitudes_without_the_map(source):
                 mock.patch.object(interpreter, "create_backend", lambda choice: factory()):
             run_program(module, find_entry(module), default_registry(),
                         RunConfig(shots=256, seed=3))
-    got, want = (trie_nodes(tries[label].root[0]) for label in ("map", "oracle"))
+    got, want = (trie_nodes(tries[label].root.children[0]) for label in ("map", "oracle"))
     assert len(got) == len(want) > 1
     assert any(p1 == 0.0 for p1, _ in got)  # draws of qubits fixed at 0 made nodes
     for (p1, state), (want_p1, want_state) in zip(got, want):
