@@ -14,12 +14,8 @@ from .ir import (
     Branch,
     Call,
     CondBranch,
-    DoubleConst,
     FunctionDef,
-    LabelConst,
     ProgramModule,
-    QubitRef,
-    ResultRef,
 )
 from .registry import OpKind, Registry
 
@@ -71,10 +67,10 @@ def _scan_max_indices(fn: FunctionDef):
             if not isinstance(ins, Call):
                 continue
             for arg in ins.args:
-                if isinstance(arg, QubitRef):
-                    max_q = max(max_q, arg.index)
-                elif isinstance(arg, ResultRef):
-                    max_r = max(max_r, arg.index)
+                if arg.kind == "qubit":
+                    max_q = max(max_q, arg.value)
+                elif arg.kind == "result":
+                    max_r = max(max_r, arg.value)
     return max_q, max_r
 
 
@@ -132,7 +128,7 @@ def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
                 f"but was called with ({', '.join(got)})")
     if spec.returns_bool != (call.result_var is not None):
         return f"@{call.callee} return-binding mismatch"
-    qubits = [arg.index for arg in call.args if isinstance(arg, QubitRef)]
+    qubits = [arg.value for arg in call.args if arg.kind == "qubit"]
     for index in qubits:
         if index >= entry.num_qubits:
             return (f"qubit index {index} out of range "
@@ -140,21 +136,12 @@ def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
     if len(set(qubits)) != len(qubits):
         return f"duplicate qubit targets {qubits}"
     for arg in call.args:
-        if isinstance(arg, ResultRef) and arg.index >= entry.num_results:
-            return (f"result index {arg.index} out of range "
+        if arg.kind == "result" and arg.value >= entry.num_results:
+            return (f"result index {arg.value} out of range "
                     f"(program declares {entry.num_results} results)")
-        if isinstance(arg, DoubleConst) and not math.isfinite(arg.value):
+        if arg.kind == "double" and not math.isfinite(arg.value):
             return f"@{call.callee} takes a non-finite double operand ({arg.value})"
     return None
-
-
-def _value(operand):
-    """The constant a signature-checked call operand stands for."""
-    if isinstance(operand, (QubitRef, ResultRef)):
-        return operand.index
-    if isinstance(operand, LabelConst):
-        return operand.text
-    return operand.value  # IntConst or DoubleConst
 
 
 def _call_step(call: Call, registry: Registry, entry: EntryPoint) -> tuple:
@@ -162,7 +149,7 @@ def _call_step(call: Call, registry: Registry, entry: EntryPoint) -> tuple:
     fault = _call_fault(call, spec, entry)
     if fault is not None:
         return (Control.FAULT, fault)
-    vals = tuple(_value(arg) for arg in call.args)
+    vals = tuple(arg.value for arg in call.args)
     if spec.kind is OpKind.GATE:
         return (OpKind.GATE, spec.gate_id, vals[: spec.num_params], vals[spec.num_params :])
     if spec.kind is OpKind.READ_RESULT:

@@ -64,11 +64,15 @@ def main(argv: Optional[list] = None) -> int:
         # argparse exits 0 for --help/--version, 64 via our error() override
         return EX_OK if exc.code in (0, None) else EX_USAGE
 
-    if args.shots < 1:
-        print("error: --shots must be at least 1", file=sys.stderr)
-        return EX_USAGE
-    if args.seed < 0:
-        print("error: --seed must not be negative", file=sys.stderr)
+    try:
+        config = RunConfig(
+            shots=args.shots,
+            seed=args.seed,
+            backend_choice=args.backend,
+            per_shot=args.per_shot,
+        )
+    except ValueError as exc:  # RunConfig names the field, which is also the option
+        print(f"error: --{exc}", file=sys.stderr)
         return EX_USAGE
 
     try:
@@ -102,12 +106,6 @@ def main(argv: Optional[list] = None) -> int:
     if args.validate_only:
         return EX_OK
 
-    config = RunConfig(
-        shots=args.shots,
-        seed=args.seed,
-        backend_choice=args.backend,
-        per_shot=args.per_shot,
-    )
     try:
         result = run_program(module, entry, registry.freeze(), config)
     except UnknownBackend as exc:

@@ -2,64 +2,42 @@
 
 A parsed module is immutable in practice (nothing mutates it after the
 parser returns) and safe to share between concurrent shot executors.
-Source line numbers are carried for diagnostics but excluded from
-equality, so a module reparsed from printed text compares equal.
+Type definitions and global strings are checked by the parser but not
+kept: a label operand carries its global's text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Operands
 
 
-@dataclass(frozen=True)
-class QubitRef:
-    index: int
-    kind: ClassVar[str] = "qubit"
+class Const(NamedTuple):
+    """A constant operand.
 
+    `kind` is its type name, the one the parser gives declaration
+    parameters and the registry an operation's operands: qubit, result,
+    label, double, i64, i32 or i1.  `value` is the qubit or result index,
+    the label text (None for ``i8* null``) or the number.  Equality
+    compares `kind` too, so ``Const("qubit", 0) != Const("result", 0)``.
+    """
 
-@dataclass(frozen=True)
-class ResultRef:
-    index: int
-    kind: ClassVar[str] = "result"
-
-
-@dataclass(frozen=True)
-class IntConst:
-    value: int
-    width: int = 64
-
-    @property
-    def kind(self) -> str:
-        return f"i{self.width}"
-
-
-@dataclass(frozen=True)
-class DoubleConst:
-    value: float
-    kind: ClassVar[str] = "double"
+    kind: str
+    value: Union[int, float, str, None]
 
 
 @dataclass(frozen=True)
 class BoolVar:
+    """An SSA i1 value, bound by a read-result call."""
+
     name: str
     kind: ClassVar[str] = "i1"
 
 
-@dataclass(frozen=True)
-class LabelConst:
-    """A string-label argument; ``text`` is None for an ``i8* null`` label."""
-
-    text: Optional[str]
-    kind: ClassVar[str] = "label"
-
-
-# Each operand's `kind` is its type name, the same names the parser gives
-# declaration parameters and the registry gives an operation's operands.
-Operand = Union[QubitRef, ResultRef, IntConst, DoubleConst, BoolVar, LabelConst]
+Operand = Union[Const, BoolVar]
 
 # ---------------------------------------------------------------------------
 # Instructions
@@ -70,7 +48,6 @@ class Call:
     callee: str
     args: tuple
     result_var: Optional[str] = None
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,18 +55,16 @@ class CondBranch:
     cond: Operand
     then_label: str
     else_label: str
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Branch:
     target_label: str
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class ReturnVoid:
-    line: int = field(default=0, compare=False)
+    pass
 
 
 Instruction = Union[Call, CondBranch, Branch, ReturnVoid]
@@ -147,8 +122,6 @@ class ModuleFlag:
 @dataclass(frozen=True)
 class ProgramModule:
     source_name: str
-    opaque_types: frozenset
-    globals: tuple  # ordered (name, payload) pairs
     functions: tuple
     declarations: tuple
     attribute_groups: tuple  # ordered (group_id, AttrGroup) pairs

@@ -7,9 +7,9 @@ groups, and module flags.  Anything else (phi, switch, alloca,
 arithmetic, ...) is a hard ParseError rather than a silent skip.
 
 Both typed-pointer (``%Qubit*``) and opaque-pointer (``ptr``) spellings
-are accepted and normalized to the same operand variants: a ``ptr``
+are accepted and normalized to the same `Const` operands: a ``ptr``
 operand takes its kind from the callee's operand signature in the
-registry.
+registry.  A label operand is resolved to its global's text here.
 """
 
 from __future__ import annotations
@@ -26,15 +26,11 @@ from .ir import (
     Branch,
     Call,
     CondBranch,
-    DoubleConst,
+    Const,
     FunctionDecl,
     FunctionDef,
-    IntConst,
-    LabelConst,
     ModuleFlag,
     ProgramModule,
-    QubitRef,
-    ResultRef,
     ReturnVoid,
     TERMINATORS,
 )
@@ -148,8 +144,7 @@ class _Parser:
         self.registry = registry
         self.pos = 0
         self.source_name = ""
-        self.opaque_types = set()
-        self.globals = []  # (name, text, byte count)
+        self.globals = {}  # name -> (text, byte count)
         self.functions = []
         self.declarations = []
         self.attribute_groups = []
@@ -219,14 +214,16 @@ class _Parser:
         return self._finish()
 
     def _parse_type_def(self):
-        name_tok = self.expect("LOCAL")
+        self.expect("LOCAL")
         self.expect("PUNCT", "=")
         self.expect("IDENT", "type")
         self.expect("IDENT", "opaque")
-        self.opaque_types.add(name_tok.text[1:])
 
     def _parse_global(self):
         name_tok = self.expect("GLOBAL")
+        name = name_tok.text[1:]
+        if name in self.globals:
+            self.error(f"duplicate global @{name}", name_tok)
         self.expect("PUNCT", "=")
         while self.peek().kind == "IDENT" and self.peek().text != "constant":
             self.next()  # linkage / unnamed_addr qualifiers
@@ -237,7 +234,7 @@ class _Parser:
         if self.accept("PUNCT", ","):
             self.expect("IDENT", "align")
             self.expect("NUMBER")
-        self.globals.append((name_tok.text[1:], payload, size))
+        self.globals[name] = payload, size
 
     def _parse_array_type(self) -> tuple:
         """An `[N x i8]` type as (its `[` token, N)."""
@@ -355,7 +352,7 @@ class _Parser:
             self.expect("PUNCT", ",")
             ty = self.expect("IDENT").text
             if ty == "i1":
-                value = self.expect("IDENT").text == "true"
+                value = self._parse_bool()
             elif ty in ("i32", "i64"):
                 value = self.expect_int()
             else:
@@ -435,20 +432,20 @@ class _Parser:
             op = self.peek()
             if op.kind != "IDENT" or op.text != "call":
                 self.error(f"unsupported instruction {op.text!r}", op)
-            return self._parse_call(result_var=var, line=tok.line)
+            return self._parse_call(result_var=var)
         if tok.kind != "IDENT":
             self.error(f"expected an instruction, found {tok.text!r}", tok)
         if tok.text == "call" or tok.text == "tail":
-            return self._parse_call(result_var=None, line=tok.line)
+            return self._parse_call(result_var=None)
         if tok.text == "br":
-            return self._parse_branch(tok.line)
+            return self._parse_branch()
         if tok.text == "ret":
             self.next()
             self.expect("IDENT", "void")
-            return ReturnVoid(line=tok.line)
+            return ReturnVoid()
         self.error(f"unsupported instruction {tok.text!r}", tok)
 
-    def _parse_call(self, result_var, line) -> Call:
+    def _parse_call(self, result_var) -> Call:
         self.accept("IDENT", "tail")
         self.expect("IDENT", "call")
         ret = self._parse_type()
@@ -465,28 +462,21 @@ class _Parser:
                 if self.accept("PUNCT", ")"):
                     break
                 self.expect("PUNCT", ",")
-        return Call(callee, tuple(args), result_var, line=line)
+        return Call(callee, tuple(args), result_var)
 
-    def _parse_branch(self, line):
+    def _parse_branch(self):
         self.expect("IDENT", "br")
         if self.accept("IDENT", "label"):
-            target = self.expect("LOCAL").text[1:]
-            return Branch(target, line=line)
+            return Branch(self.expect("LOCAL").text[1:])
         self.expect("IDENT", "i1")
-        cond_tok = self.peek()
-        if cond_tok.kind == "LOCAL":
-            cond = BoolVar(self.next().text)
-        elif cond_tok.kind == "IDENT" and cond_tok.text in ("true", "false"):
-            cond = IntConst(1 if self.next().text == "true" else 0, width=1)
-        else:
-            self.error(f"expected a boolean condition, found {cond_tok.text!r}", cond_tok)
+        cond = self._parse_i1()
         self.expect("PUNCT", ",")
         self.expect("IDENT", "label")
         then_label = self.expect("LOCAL").text[1:]
         self.expect("PUNCT", ",")
         self.expect("IDENT", "label")
         else_label = self.expect("LOCAL").text[1:]
-        return CondBranch(cond, then_label, else_label, line=line)
+        return CondBranch(cond, then_label, else_label)
 
     # -- operands
 
@@ -510,42 +500,49 @@ class _Parser:
         tok = self.peek()
 
         if kind in ("qubit", "result"):
-            ref = QubitRef if kind == "qubit" else ResultRef
             if self.accept("IDENT", "null"):
-                return ref(0)
+                return Const(kind, 0)
             if self.accept("IDENT", "inttoptr"):
-                return ref(self._parse_inttoptr(tok))
+                return Const(kind, self._parse_inttoptr(tok))
             self.error(f"expected null or inttoptr, found {tok.text!r}", tok)
 
         if kind == "label":
             if self.accept("IDENT", "null"):
-                return LabelConst(None)
+                return Const(kind, None)
             if self.accept("IDENT", "getelementptr"):
-                return LabelConst(self._parse_gep(tok))
+                return Const(kind, self._parse_gep(tok))
             if tok.kind == "GLOBAL":
-                return LabelConst(self._lookup_global(self.next())[0])
+                return Const(kind, self._lookup_global(self.next())[0])
             self.error(f"expected a label constant, found {tok.text!r}", tok)
 
         if kind in ("i64", "i32"):
-            return IntConst(self.expect_int(), width=int(kind[1:]))
+            return Const(kind, self.expect_int())
 
         if kind == "i1":
-            if tok.kind == "LOCAL":
-                return BoolVar(self.next().text)
-            if tok.kind == "IDENT" and tok.text in ("true", "false"):
-                return IntConst(1 if self.next().text == "true" else 0, width=1)
-            self.error(f"expected an i1 value, found {tok.text!r}", tok)
+            return self._parse_i1()
 
         if kind == "double":
             if tok.kind in ("NUMBER", "HEXNUM"):
                 self.next()
                 try:
-                    return DoubleConst(parse_double_literal(tok.text))
+                    return Const(kind, parse_double_literal(tok.text))
                 except ParseError as exc:
                     self.error(str(exc), tok)
             self.error(f"expected a double literal, found {tok.text!r}", tok)
 
         self.error(f"unsupported argument type {kind!r}", tok)
+
+    def _parse_bool(self) -> bool:
+        tok = self.peek()
+        if tok.kind != "IDENT" or tok.text not in ("true", "false"):
+            self.error(f"expected 'true' or 'false', found {tok.text!r}", tok)
+        return self.next().text == "true"
+
+    def _parse_i1(self):
+        """An i1 operand: an SSA name or a `true`/`false` constant."""
+        if self.peek().kind == "LOCAL":
+            return BoolVar(self.next().text)
+        return Const("i1", int(self._parse_bool()))
 
     def _parse_inttoptr(self, tok) -> int:
         self.expect("PUNCT", "(")
@@ -588,10 +585,9 @@ class _Parser:
     def _lookup_global(self, tok) -> tuple:
         """The (text, byte count) of the global `tok` names."""
         name = tok.text[1:]
-        for gname, payload, size in self.globals:
-            if gname == name:
-                return payload, size
-        self.error(f"reference to unknown global @{name}", tok)
+        if name not in self.globals:
+            self.error(f"reference to unknown global @{name}", tok)
+        return self.globals[name]
 
     # -- module assembly
 
@@ -607,8 +603,6 @@ class _Parser:
             flags.append(self.metadata_nodes[ref])
         return ProgramModule(
             source_name=self.source_name,
-            opaque_types=frozenset(self.opaque_types),
-            globals=tuple((name, payload) for name, payload, _ in self.globals),
             functions=tuple(self.functions),
             declarations=tuple(self.declarations),
             attribute_groups=tuple(self.attribute_groups),

@@ -12,15 +12,10 @@ from qirvm.ir import (
     Branch,
     Call,
     CondBranch,
-    DoubleConst,
     Instruction,
-    IntConst,
-    LabelConst,
     Operand,
     ProgramModule,
-    QubitRef,
     ReturnVoid,
-    ResultRef,
 )
 
 
@@ -39,59 +34,40 @@ def _escape_payload(payload: str) -> str:
     return "".join(out)
 
 
-class _GlobalNamer:
-    """Maps label payloads back to global names when rendering."""
-
-    def __init__(self, module: ProgramModule):
-        self.by_text = {payload: name for name, payload in module.globals}
-        self.extra = []
-
-    def name_for(self, text: str) -> str:
-        if text not in self.by_text:
-            name = "label.%d" % len(self.extra)
-            self.by_text[text] = name
-            self.extra.append((name, text))
-        return self.by_text[text]
-
-
-def _render_operand(op: Operand, namer: _GlobalNamer) -> str:
-    if isinstance(op, QubitRef):
-        if op.index == 0:
-            return "%Qubit* null"
-        return f"%Qubit* inttoptr (i64 {op.index} to %Qubit*)"
-    if isinstance(op, ResultRef):
-        if op.index == 0:
-            return "%Result* null"
-        return f"%Result* inttoptr (i64 {op.index} to %Result*)"
-    if isinstance(op, IntConst):
-        return f"i{op.width} {op.value}"
-    if isinstance(op, DoubleConst):
-        return f"double {_double_text(op.value)}"
+def _render_operand(op: Operand, globals_: dict) -> str:
+    """`globals_` maps each label text to its global's name, adding new ones."""
     if isinstance(op, BoolVar):
         return f"i1 {op.name}"
-    if isinstance(op, LabelConst):
-        if op.text is None:
+    kind, value = op
+    if kind in ("qubit", "result"):
+        pointer = _KIND_TEXT[kind]
+        if value == 0:
+            return f"{pointer} null"
+        return f"{pointer} inttoptr (i64 {value} to {pointer})"
+    if kind == "double":
+        return f"double {_double_text(value)}"
+    if kind == "label":
+        if value is None:
             return "i8* null"
-        gname = namer.name_for(op.text)
-        n = len(op.text.encode()) + 1
+        gname = globals_.setdefault(value, str(len(globals_)))
+        n = len(value.encode()) + 1
         return (
             f"i8* getelementptr inbounds ([{n} x i8], [{n} x i8]* @{gname}, i32 0, i32 0)"
         )
-    raise TypeError(f"not an operand: {op!r}")
+    if kind == "i1":
+        return f"i1 {'true' if value else 'false'}"
+    return f"{kind} {value}"  # i64 or i32
 
 
-def _render_instruction(ins: Instruction, namer: _GlobalNamer) -> str:
+def _render_instruction(ins: Instruction, globals_: dict) -> str:
     if isinstance(ins, Call):
-        args = ", ".join(_render_operand(a, namer) for a in ins.args)
+        args = ", ".join(_render_operand(a, globals_) for a in ins.args)
         if ins.result_var is not None:
             return f"  {ins.result_var} = call i1 @{ins.callee}({args})"
         return f"  call void @{ins.callee}({args})"
     if isinstance(ins, CondBranch):
-        if isinstance(ins.cond, IntConst):
-            cond = "true" if ins.cond.value else "false"
-        else:
-            cond = ins.cond.name
-        return f"  br i1 {cond}, label %{ins.then_label}, label %{ins.else_label}"
+        cond = _render_operand(ins.cond, globals_)
+        return f"  br {cond}, label %{ins.then_label}, label %{ins.else_label}"
     if isinstance(ins, Branch):
         return f"  br label %{ins.target_label}"
     if isinstance(ins, ReturnVoid):
@@ -113,7 +89,7 @@ _KIND_TEXT = {
 
 def render_module(module: ProgramModule) -> str:
     """Render a module back to textual IR; reparsing yields an equal module."""
-    namer = _GlobalNamer(module)
+    globals_ = {}  # label text -> global name
     body = []
     for fn in module.functions:
         suffix = f" #{fn.attr_group}" if fn.attr_group is not None else ""
@@ -123,19 +99,16 @@ def render_module(module: ProgramModule) -> str:
                 body.append("")
             body.append(f"{block.label}:")
             for ins in block.instructions:
-                body.append(_render_instruction(ins, namer))
+                body.append(_render_instruction(ins, globals_))
         body.append("}")
         body.append("")
 
-    lines = [f'source_filename = "{module.source_name}"', ""]
-    for name in sorted(module.opaque_types):
-        lines.append(f"%{name} = type opaque")
-    if module.opaque_types:
-        lines.append("")
-    for gname, payload in list(module.globals) + namer.extra:
+    lines = [f'source_filename = "{module.source_name}"', "",
+             "%Qubit = type opaque", "%Result = type opaque", ""]
+    for payload, gname in globals_.items():
         n = len(payload.encode()) + 1
         lines.append(f'@{gname} = internal constant [{n} x i8] c"{_escape_payload(payload)}"')
-    if module.globals or namer.extra:
+    if globals_:
         lines.append("")
     lines.extend(body)
 

@@ -8,11 +8,7 @@ from qirvm.ir import (
     Branch,
     Call,
     CondBranch,
-    DoubleConst,
-    IntConst,
-    LabelConst,
-    QubitRef,
-    ResultRef,
+    Const,
 )
 from qirvm.parser import parse_double_literal
 
@@ -44,10 +40,10 @@ class TestTeleportProgram:
         module = parse_module(TELEPORT_LL)
         first_call = module.functions[0].blocks[0].instructions[0]
         assert first_call.callee == "__quantum__qis__h__body"
-        assert first_call.args == (QubitRef(1),)
+        assert first_call.args == (Const("qubit", 1),)
         # third call addresses qubit 0 via `null`
         third = module.functions[0].blocks[0].instructions[2]
-        assert third.args == (QubitRef(0), QubitRef(1))
+        assert third.args == (Const("qubit", 0), Const("qubit", 1))
 
     def test_module_flags(self):
         module = parse_module(TELEPORT_LL)
@@ -99,8 +95,18 @@ def test_opaque_pointer_spelling():
     )
     module = parse_module(src)
     calls = [i for i in module.functions[0].blocks[0].instructions if isinstance(i, Call)]
-    assert calls[0].args == (QubitRef(0),)
-    assert calls[1].args == (QubitRef(0), ResultRef(1))
+    assert calls[0].args == (Const("qubit", 0),)
+    assert calls[1].args == (Const("qubit", 0), Const("result", 1))
+
+
+def test_operands_of_different_kinds_differ():
+    assert Const("qubit", 0) != Const("result", 0)
+    src = make_program(
+        "entry:\n  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n  ret void",
+        declarations="declare void @__quantum__qis__mz__body(%Qubit*, %Result*)",
+    )
+    qubit, result = parse_module(src).functions[0].blocks[0].instructions[0].args
+    assert qubit != result
 
 
 def test_global_string_label_resolution():
@@ -123,7 +129,7 @@ attributes #0 = { "entry_point" }
 """
     module = parse_module(src)
     call = module.functions[0].blocks[0].instructions[0]
-    assert call.args == (ResultRef(0), LabelConst("r0"))
+    assert call.args == (Const("result", 0), Const("label", "r0"))
     # the other spellings LLVM prints for the same label
     typed = "i8* getelementptr inbounds ([3 x i8], [3 x i8]* @0, i32 0, i32 0)"
     for label in ["i8* getelementptr inbounds ([3 x i8], [3 x i8]* @0, i64 0, i64 0)",
@@ -201,10 +207,15 @@ class TestParseErrors:
     def test_module_assembly_errors_point_at_the_offending_token(self):
         src = make_program("entry:\n  ret void")  # 15 lines, `define ... #0 {` on line 6
         flags = '\n!llvm.module.flags = !{!0, !3}\n!0 = !{i32 1, !"qir_major_version", i32 1}\n'
+        bad_flag = '\n!llvm.module.flags = !{!0}\n!0 = !{i32 1, !"dynamic_qubit_management", i1 banana}\n'
+        two_globals = '@0 = internal constant [3 x i8] c"r0\\00"\n@0 = internal constant [3 x i8] c"zz\\00"\n'
         cases = [
             (src.replace("#0 {", "#7 {"), 6, 21, "#7"),
             (src + flags, 16, 28, "!3"),
             (src + "\ndefine void @main() {\nentry:\n  ret void\n}\n", 16, 13, "@main"),
+            (src.replace("\n\ndefine", "\n" + two_globals + "\ndefine"), 6, 1,
+             "duplicate global @0"),
+            (src + bad_flag, 17, 47, "banana"),
         ]
         for text, line, column, what in cases:
             with pytest.raises(ParseError, match=what) as exc:
@@ -249,8 +260,8 @@ class TestDoubleLiteral:
             declarations="declare void @__quantum__qis__rz__body(double, %Qubit*)",
         )
         calls = parse_module(src).functions[0].blocks[0].instructions[:2]
-        assert calls[0].args[0] == DoubleConst(3.141592653589793)
-        assert calls[1].args[0] == DoubleConst(1.5)
+        assert calls[0].args[0] == Const("double", 3.141592653589793)
+        assert calls[1].args[0] == Const("double", 1.5)
 
 
 class TestRoundTrip:
@@ -265,13 +276,18 @@ class TestRoundTrip:
             "entry:\n"
             "  call void @__quantum__rt__array_record_output(i64 1, i8* null)\n"
             "  call void @__quantum__rt__result_record_output(%Result* null, i8* null)\n"
+            "  call void @flag(i1 true, i32 -2)\n"
+            "  br i1 false, label %entry, label %done\n"
+            "done:\n"
             "  ret void",
             declarations=(
                 "declare void @__quantum__rt__array_record_output(i64, i8*)\n"
-                "declare void @__quantum__rt__result_record_output(%Result*, i8*)"
+                "declare void @__quantum__rt__result_record_output(%Result*, i8*)\n"
+                "declare void @flag(i1, i32)"
             ),
         )
         module = parse_module(src)
-        call = module.functions[0].blocks[0].instructions[0]
-        assert call.args[0] == IntConst(1)
+        calls = module.functions[0].blocks[0].instructions
+        assert calls[0].args[0] == Const("i64", 1)
+        assert calls[2].args == (Const("i1", 1), Const("i32", -2))
         assert parse_module(render_module(module)) == module

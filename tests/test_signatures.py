@@ -13,7 +13,7 @@ from qirvm import (
     run_program,
     validate_profile,
 )
-from qirvm.ir import QubitRef, ResultRef
+from qirvm.ir import Const
 from qirvm.registry import MEASURE_SPEC
 
 from conftest import make_program
@@ -65,7 +65,7 @@ def test_custom_measure_intrinsic_in_opaque_spelling():
     registry = default_registry()
     registry.register("__quantum__qis__mymeasure__body", MEASURE_SPEC)
     call = check_both_spellings("__quantum__qis__mymeasure__body", registry)
-    assert call.args == (QubitRef(0), ResultRef(1))
+    assert call.args == (Const("qubit", 0), Const("result", 1))
 
 
 MYREAD = "__quantum__qis__myread__body"
@@ -114,7 +114,8 @@ def test_unregistered_ptr_operand_stays_a_qubit_and_fails_validation():
         attrs=ATTRS,
     )
     module = parse_module(src)
-    assert module.functions[0].blocks[0].instructions[0].args == (QubitRef(0), QubitRef(1))
+    call = module.functions[0].blocks[0].instructions[0]
+    assert call.args == (Const("qubit", 0), Const("qubit", 1))
     diagnostics = validate_profile(module, find_entry(module), default_registry())
     assert [d.severity for d in diagnostics] == ["error"]
 
