@@ -3,12 +3,15 @@
 A run compiles the entry function once (compile_program) and executes
 its blocks once per trie miss, with a fresh backend, SSA environment,
 result bits and recorder, and an RNG stream derived deterministically from
-(seed, shot_index), by shot_rng for one shot or ShotStreams for many.
-Shots are therefore order-independent: a shot whose outcome history an
-earlier shot already ran reuses that work (see OutcomeTrie), and a group
-that misses runs as one shot, which the others leave where their draws
-differ (see _Miss), so each gets the output it would compute alone.  Only
-this module routes, replays and stores shots; a shot past STEP_LIMIT steps faults.
+(seed, shot_index): shot_rng defines it for one shot, ShotStreams computes
+it for many, and a miss continues its row's stream in Python ints
+(_PCG64), so a run never loads numpy.random.  Shots are therefore
+order-independent: a shot whose outcome history an earlier shot already
+ran reuses that work (see OutcomeTrie), and a group that misses runs as
+one shot, which the others leave where their draws differ (see _Miss), so
+each gets the output it would compute alone.  Only this module routes,
+replays and stores shots.  A shot that takes more steps than the program
+has instructions faults (see execute_shot).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .recorder import aggregate  # noqa: F401  (public name of this module too)
 from .registry import OpKind, Registry
 
 DEFAULT_SHOTS = 1024
-STEP_LIMIT = 10 ** 7  # steps one shot may take; read by execute_shot at each call
 SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 
 # Identifies the per-shot stream, numpy PCG64 seeded with SeedSequence([seed, shot_index]):
@@ -50,6 +52,7 @@ class RunConfig:
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
+    """Shot `shot_index`'s stream, by definition.  It loads numpy.random; a run never calls it."""
     return np.random.default_rng(np.random.SeedSequence([seed, shot_index]))
 
 
@@ -58,8 +61,8 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
 _M32, _LOW, _S32 = (1 << 32) - 1, np.uint64((1 << 32) - 1), np.uint64(32)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_ML, _MH = np.uint64(_PCG_MULT & (1 << 64) - 1), np.uint64(_PCG_MULT >> 64)
+_PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1, (1 << 128) - 1
+_ML, _MH = np.uint64(_PCG_MULT & _M64), np.uint64(_PCG_MULT >> 64)
 _ML0, _ML1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
 
 
@@ -124,13 +127,26 @@ class ShotStreams:
         bits = (bits >> rotation) | (bits << ((np.uint64(64) - rotation) & np.uint64(63)))
         return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
-    def generator(self, row: int) -> np.random.Generator:
-        """A Generator that continues `row`'s stream from its current state."""
-        pcg = np.random.PCG64(0)
-        pcg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
-            "state": int(self.hi[row]) << 64 | int(self.lo[row]),
-            "inc": int(self.inc_hi[row]) << 64 | int(self.inc_lo[row])}}
-        return np.random.Generator(pcg)
+    def generator(self, row: int) -> _PCG64:
+        """A stream that continues `row`'s from its current state."""
+        return _PCG64(int(self.hi[row]) << 64 | int(self.lo[row]),
+                      int(self.inc_hi[row]) << 64 | int(self.inc_lo[row]))
+
+
+class _PCG64:
+    """One PCG64 stream in Python ints; random() equals Generator(PCG64).random(), bit for bit."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, state: int, inc: int):
+        self.state, self.inc = state, inc
+
+    def random(self) -> float:
+        """Step as ShotStreams.random does, then its XSL-RR output's top 53 bits."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _M128
+        bits, rotation = (state >> 64 ^ state) & _M64, state >> 122
+        bits = (bits >> rotation | bits << 64 - rotation) & _M64
+        return (bits >> 11) * 2.0 ** -53
 
 
 # Shot branching.  The gates a shot applies between two measurements depend
@@ -206,7 +222,7 @@ class _Miss(NamedTuple):
     outcome differs wait on `waiting` at its other slot, the rest at the leaf.
     """
 
-    rng: np.random.Generator
+    rng: _PCG64  # execute_shot wraps any other object with random() as _Miss(rng)
     walk: list = ()
     tail: Optional[tuple] = None
     trie: Optional[OutcomeTrie] = None
@@ -225,12 +241,17 @@ def _result_bit(bits: dict, index: int) -> int:
 def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     """Run `program` (compile_program's blocks) once on an allocated backend.
 
-    A shot faults past STEP_LIMIT steps.  Its result bits are a dict of the
-    results written so far.  A measurement's outcome is 1 iff
-    rng.random() < p1.  run_program passes a _Miss as `rng`: the shot then
-    resumes where its walk's first node stored it (the backend holds that
-    state), or starts at block 0, takes the walk's outcomes, then draws,
-    adds a node per draw, parting its others there, and seals its leaf.
+    Its result bits are a dict of the results written so far.  A
+    measurement's outcome is 1 iff rng.random() < p1.  A read_result binds
+    an SSA value once per shot, and only a branch reads one, so a shot that
+    enters a block twice repeats its path: it faults on that second binding
+    or never ends.  A shot that ends thus takes at most one step per
+    instruction, and a shot past that many steps faults.
+
+    run_program passes a _Miss as `rng`: the shot then resumes where its
+    walk's first node stored it (the backend holds that state), or starts
+    at block 0, takes the walk's outcomes, then draws, adds a node per
+    draw, parting its others there, and seals its leaf.
     """
     miss = rng if isinstance(rng, _Miss) else _Miss(rng)
     tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
@@ -266,7 +287,8 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         tail = (node, outcome)
         return outcome
 
-    for taken in range(taken, STEP_LIMIT):  # a resumed shot counts its steps from block 0
+    limit = sum(map(len, program))
+    for taken in range(taken, limit):  # a resumed shot counts its steps from block 0
         code, *args = steps[cursor]
         cursor += 1
         if code is OpKind.GATE:
@@ -303,7 +325,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         elif code is Control.FAULT:
             raise RuntimeFault(args[0])
         # OpKind.INITIALIZE does nothing
-    raise RuntimeFault(f"step limit of {STEP_LIMIT} exceeded")
+    raise RuntimeFault(f"step limit of {limit} exceeded: the shot entered a block twice")
 
 
 def run_program(

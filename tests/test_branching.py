@@ -497,19 +497,27 @@ def test_a_two_state_budget_evicts_and_matches_the_per_shot_loop():
     assert states[0] is None and all(state is not None for state in states[1:])
 
 
-@pytest.mark.parametrize("before, spin", [
-    (0, ["  br label %spin"]),
-    # a shot that resumes after the first 300 steps still counts them
-    (300, [call("z", qubit(0))] * 300 + ["  br label %done"]),
+READ_C = f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})"
+
+
+@pytest.mark.parametrize("lines, limit", [
+    # 4 + 1 + 3 instructions (`done` records and returns)
+    ([call("h", qubit(0)), mz(0, 0), READ_C, "  br i1 %c, label %spin, label %done",
+      "spin:", "  br label %spin", "done:"], 8),
+    # 7 + 5 + 3 instructions.  A shot with outcome 1 re-enters `spin` at step
+    # 12 and is due to bind %c again at step 15, the limit.  It resumes at
+    # the mz, step 5: counting its steps from there would let it reach that
+    # binding and fault on it instead.
+    ([call("h", qubit(0)), *[call("z", qubit(0))] * 4, mz(0, 0), "  br label %spin",
+      "spin:", *[call("z", qubit(0))] * 3, READ_C, "  br i1 %c, label %spin, label %done",
+      "done:"], 15),
 ], ids=["loop", "resumed"])
-def test_step_limit_hit_on_one_history_only(before, spin):
-    lines = [call("h", qubit(0)), *[call("z", qubit(0))] * before, mz(0, 0),
-             f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})",
-             "  br i1 %c, label %spin, label %done",
-             "spin:", *spin, "done:"]
-    with mock.patch.object(interpreter, "STEP_LIMIT", 500):
-        fault = assert_matches_reference(program(lines, 1, [0], 1), shots=16, seed=0)
-    assert "step limit of 500 exceeded" in str(fault)
+def test_step_limit_hit_on_one_history_only(lines, limit):
+    source = program(lines, 1, [0], 1)
+    module = parse_module(source)
+    assert sum(map(len, compile_program(module, find_entry(module), default_registry()))) == limit
+    fault = assert_matches_reference(source, shots=16, seed=0)
+    assert str(fault).endswith(f": step limit of {limit} exceeded: the shot entered a block twice")
     assert not str(fault).startswith("shot 0:")  # earlier shots were sealed first
 
 

@@ -145,6 +145,22 @@ def test_runtime_fault_exit_code(tmp_path):
     assert main(["run", write(tmp_path, src)]) == EX_SOFTWARE
 
 
+def test_a_program_that_never_ends_faults_at_its_instruction_count(tmp_path, capsys):
+    src = make_program(
+        "entry:\n  br label %loop\n"
+        "loop:\n"
+        "  call void @__quantum__qis__h__body(%Qubit* null)\n"
+        "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+        "  br label %loop",
+        declarations="declare void @__quantum__qis__h__body(%Qubit*)\n"
+                     "declare void @__quantum__qis__mz__body(%Qubit*, %Result* writeonly)",
+        attrs='"entry_point" "num_required_qubits"="1" "num_required_results"="1"',
+    )
+    assert main(["run", write(tmp_path, src), "--shots", "3"]) == EX_SOFTWARE
+    assert capsys.readouterr().err == (
+        "runtime fault: shot 0: step limit of 4 exceeded: the shot entered a block twice\n")
+
+
 def test_unknown_backend(teleport_file, capsys):
     assert main(["run", teleport_file, "--backend", "xacc"]) == EX_USAGE
     assert "statevector" in capsys.readouterr().err

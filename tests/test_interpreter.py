@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from qirvm import (
     shot_rng,
     validate_profile,
 )
-from qirvm import interpreter
 from qirvm.analyze import Control
 
 from conftest import make_program
@@ -140,11 +137,12 @@ def test_fault_is_annotated_with_shot_index():
 
 
 def test_step_limit_guards_block_cycles():
+    # two instructions, so the third step re-enters a block
     src = make_program("entry:\n  br label %loop\nloop:\n  br label %loop")
     module = parse_module(src)
     entry = find_entry(module)
-    with mock.patch.object(interpreter, "STEP_LIMIT", 1000), \
-            pytest.raises(RuntimeFault, match="step limit of 1000 exceeded"):
+    with pytest.raises(RuntimeFault, match=r"^shot 0: step limit of 2 exceeded: "
+                                           r"the shot entered a block twice$"):
         run_program(module, entry, default_registry(), RunConfig(shots=1))
 
 
@@ -191,13 +189,17 @@ def test_teleport_forced_bits_give_expected_bitstring(teleport_module, teleport_
 
 
 def test_ssa_value_bound_twice_in_one_shot_faults():
+    # the shot never enters `done`, so it binds %0 again within its 6 steps
     src = make_program(
         "entry:\n"
+        "  call void @__quantum__qis__x__body(%Qubit* null)\n"
         "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
         "  br label %loop\n"
         "loop:\n"
         "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
-        "  br i1 %0, label %loop, label %loop",
+        "  br i1 %0, label %loop, label %done\n"
+        "done:\n"
+        "  ret void",
         declarations=MEASURE_DECLS,
         attrs=ENTRY_1Q,
     )

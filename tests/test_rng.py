@@ -4,10 +4,18 @@ Draws are compared as uint64 views, so two floats only match when every
 bit does.  Seeds run from one 32-bit entropy word to seven, so
 SeedSequence's tail mixing (more than four words) runs; shot ranges
 straddle 2**32, where a shot index gains a second word, and the run's
-chunk boundaries.  The Generator built for a row continues its stream.
+chunk boundaries.  The stream a trie miss takes over from a row continues
+it, and a run never loads numpy.random.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,11 +61,56 @@ def test_advancing_some_rows_leaves_the_others_alone(seed, first, data):
     expected = reference(seed, first, count, 4)
     streams = ShotStreams(seed, first, count)
     head = streams.random(np.flatnonzero(advanced))
-    # a trie miss continues its row's stream from there in a Generator
+    # a trie miss continues its row's stream from there
     for row in range(count):
         taken = int(advanced[row])
-        continued = streams.generator(row).random(3)
+        stream = streams.generator(row)
+        continued = [stream.random() for _ in range(3)]
         assert np.array_equal(bits(continued), bits(expected[row, taken:taken + 3]))
     after = streams.random(np.arange(count))
     assert np.array_equal(bits(head), bits(expected[advanced, 0]))
     assert np.array_equal(bits(after), bits(np.where(advanced, expected[:, 1], expected[:, 0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, FIRST_SHOTS, st.integers(1, 16), st.data())
+def test_a_continued_stream_equals_shot_rng_after_routed_draws(seed, first, count, data):
+    routed = data.draw(st.integers(0, 6))
+    streams = ShotStreams(seed, first, count)
+    for _ in range(routed):
+        streams.random(np.arange(count))
+    row = data.draw(st.integers(0, count - 1))
+    stream = streams.generator(row)
+    continued = [stream.random() for _ in range(64)]
+    expected = shot_rng(seed, first + row).random(routed + 64)[routed:]
+    assert np.array_equal(bits(continued), bits(expected))
+
+
+# prints whether numpy.random is loaded after `import numpy`, after `qirvm
+# run` on teleport and after a run_program call, all in one fresh process
+LOADED_AFTER_RUNS = """
+import json, pathlib, sys
+import numpy
+loaded = ["numpy.random" in sys.modules]
+from qirvm import RunConfig, default_registry, find_entry, parse_module, run_program
+from qirvm.cli import main
+assert main(["run", sys.argv[1], "--shots", "4096", "--output", sys.argv[2]]) == 0
+loaded.append("numpy.random" in sys.modules)
+module = parse_module(pathlib.Path(sys.argv[1]).read_text())
+run_program(module, find_entry(module), default_registry(), RunConfig(shots=4096, seed=3))
+loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_a_run_never_loads_numpy_random(tmp_path):
+    tests = pathlib.Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUNS, str(tests / "fixtures" / "teleport.ll"),
+         str(tmp_path / "result.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    with_numpy, after_cli, after_run = json.loads(done.stdout)
+    if with_numpy:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not after_cli and not after_run
