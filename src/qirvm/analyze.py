@@ -128,6 +128,8 @@ def _call_fault(call: Call, spec, entry: EntryPoint) -> Optional[str]:
                 f"but was called with ({', '.join(got)})")
     if spec.returns_bool != (call.result_var is not None):
         return f"@{call.callee} return-binding mismatch"
+    if spec.kind is OpKind.RECORD_ARRAY and call.args[0].value < 0:
+        return f"@{call.callee} declares a negative length ({call.args[0].value})"
     qubits = [arg.value for arg in call.args if arg.kind == "qubit"]
     for index in qubits:
         if index >= entry.num_qubits:

@@ -12,12 +12,7 @@ from typing import Optional
 
 from . import __version__
 from .analyze import find_entry, validate_profile
-from .errors import (
-    EntryPointError,
-    ParseError,
-    RuntimeFault,
-    UnknownBackend,
-)
+from .errors import EntryPointError, ParseError, RuntimeFault
 from .interpreter import DEFAULT_SHOTS, RunConfig, run_program
 from .parser import parse_module
 from .recorder import emit_json
@@ -65,13 +60,8 @@ def main(argv: Optional[list] = None) -> int:
         return EX_OK if exc.code in (0, None) else EX_USAGE
 
     try:
-        config = RunConfig(
-            shots=args.shots,
-            seed=args.seed,
-            backend_choice=args.backend,
-            per_shot=args.per_shot,
-        )
-    except ValueError as exc:  # RunConfig names the field, which is also the option
+        config = RunConfig(args.shots, args.seed, args.backend, args.per_shot)
+    except ValueError as exc:  # RunConfig's message begins with the option's name
         print(f"error: --{exc}", file=sys.stderr)
         return EX_USAGE
 
@@ -108,9 +98,6 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         result = run_program(module, entry, registry.freeze(), config)
-    except UnknownBackend as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except RuntimeFault as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EX_SOFTWARE

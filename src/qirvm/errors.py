@@ -32,7 +32,7 @@ class AmbiguousEntry(EntryPointError):
 
 class RuntimeFault(QirVmError):
     """Raised when a shot cannot make progress (unbound SSA value, read of
-    an unmeasured result, step-limit breach, backend fault)."""
+    an unmeasured result, a second entry into a block, backend fault)."""
 
 
 class UnknownBackend(QirVmError):

@@ -10,8 +10,8 @@ order-independent: a shot whose outcome history an earlier shot already
 ran reuses that work (see OutcomeTrie), and a group that misses runs as
 one shot, which the others leave where their draws differ (see _Miss), so
 each gets the output it would compute alone.  Only this module routes,
-replays and stores shots.  A shot that takes more steps than the program
-has instructions faults (see execute_shot).
+replays and stores shots.  A shot enters each block at most once: a jump
+or branch into a block it entered faults (see execute_shot).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .analyze import Control, EntryPoint, compile_program
-from .backends import create_backend
+from .backends import available_backends, create_backend
 from .errors import RuntimeFault
 from .ir import ProgramModule
 from .recorder import Histogram, RunResult, ShotOutput, ShotRecorder
@@ -37,7 +37,7 @@ SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 RNG_ID = "numpy-pcg64/seedseq[seed,shot]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     shots: int = DEFAULT_SHOTS
     seed: int = 0
@@ -49,6 +49,9 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be a {kind} int, not {value!r}")
+        if self.backend_choice not in available_backends():
+            raise ValueError(f"backend must be one of {', '.join(available_backends())}, "
+                             f"not {self.backend_choice!r}")
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
@@ -167,9 +170,9 @@ class _Node:
     def __init__(self, p1, up=None):
         self.p1, self.up = p1, up  # up: the (node, outcome) slot it fills, None at the root
         self.depth = up[0].depth + 1 if up else 0
-        # if stored: a copy of the amplitudes before the draw, and (step count,
-        # steps, cursor, SSA values, result bits, recorder entries, declared
-        # length) at the MEASURE/RESET step that draws
+        # if stored: a copy of the amplitudes before the draw, and (steps,
+        # cursor, entered blocks, SSA values, result bits, recorder entries,
+        # declared length) at the MEASURE/RESET step that draws
         self.state = self.resume = None
         self.children = [None, None]  # per outcome: a _Node, a leaf, or None
 
@@ -242,11 +245,9 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     """Run `program` (compile_program's blocks) once on an allocated backend.
 
     Its result bits are a dict of the results written so far.  A
-    measurement's outcome is 1 iff rng.random() < p1.  A read_result binds
-    an SSA value once per shot, and only a branch reads one, so a shot that
-    enters a block twice repeats its path: it faults on that second binding
-    or never ends.  A shot that ends thus takes at most one step per
-    instruction, and a shot past that many steps faults.
+    measurement's outcome is 1 iff rng.random() < p1.  A jump or branch into
+    a block the shot entered faults, so, as the parser lets a function
+    define each SSA value once, a shot binds each value at most once.
 
     run_program passes a _Miss as `rng`: the shot then resumes where its
     walk's first node stored it (the backend holds that state), or starts
@@ -256,9 +257,9 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     miss = rng if isinstance(rng, _Miss) else _Miss(rng)
     tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
     start = miss.walk[0][0].resume if miss.walk else None
-    taken, steps, cursor, ssa, bits, entries, recorder.declared_len = start or (
-        0, program[0], 0, {}, {}, [], None)
-    ssa, bits, recorder.entries = dict(ssa), dict(bits), list(entries)
+    steps, cursor, entered, ssa, bits, entries, recorder.declared_len = start or (
+        program[0], 0, {0}, {}, {}, [], None)
+    entered, ssa, bits, recorder.entries = set(entered), dict(ssa), dict(bits), list(entries)
     replay = iter([outcome for _, outcome in miss.walk])
 
     def choose(p1, amplitudes):
@@ -280,15 +281,14 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
             leave = (miss.streams.random(others) < p1) != outcome
             if leave.any():
                 trie.store(node, amplitudes, (
-                    taken, steps, cursor - 1, dict(ssa), dict(bits), list(recorder.entries),
-                    recorder.declared_len), miss.waiting)
+                    steps, cursor - 1, set(entered), dict(ssa), dict(bits),
+                    list(recorder.entries), recorder.declared_len), miss.waiting)
                 miss.waiting.append((others[leave], node, 1 - outcome))
                 others = others[~leave]
         tail = (node, outcome)
         return outcome
 
-    limit = sum(map(len, program))
-    for taken in range(taken, limit):  # a resumed shot counts its steps from block 0
+    while True:
         code, *args = steps[cursor]
         cursor += 1
         if code is OpKind.GATE:
@@ -300,21 +300,23 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
             backend.reset(args[0], choose)
         elif code is OpKind.READ_RESULT:
             result, name = args
-            if name in ssa:
-                raise RuntimeFault(f"SSA value {name} written twice in one shot")
             ssa[name] = bool(_result_bit(bits, result))
         elif code is OpKind.RECORD_ARRAY:
             recorder.record_array(*args)
         elif code is OpKind.RECORD_RESULT:
             result, label = args
             recorder.record_result(_result_bit(bits, result), label)
-        elif code is Control.JUMP:
-            steps, cursor = program[args[0]], 0
-        elif code is Control.BRANCH:
-            name, then_index, else_index = args
-            if name not in ssa:
-                raise RuntimeFault(f"use of unbound SSA value {name}")
-            steps, cursor = program[then_index if ssa[name] else else_index], 0
+        elif code is Control.JUMP or code is Control.BRANCH:
+            block = args[0]
+            if code is Control.BRANCH:
+                name, then_index, else_index = args
+                if name not in ssa:
+                    raise RuntimeFault(f"use of unbound SSA value {name}")
+                block = then_index if ssa[name] else else_index
+            if block in entered:
+                raise RuntimeFault(f"entered block {block} twice")
+            entered.add(block)
+            steps, cursor = program[block], 0
         elif code is Control.RETURN:
             output = recorder.finalize()
             if tail is not None:
@@ -325,7 +327,6 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         elif code is Control.FAULT:
             raise RuntimeFault(args[0])
         # OpKind.INITIALIZE does nothing
-    raise RuntimeFault(f"step limit of {limit} exceeded: the shot entered a block twice")
 
 
 def run_program(

@@ -185,8 +185,14 @@ class _Parser:
             self.error(f"expected an integer, found {tok.text!r}", tok)
         return int(tok.text)
 
-    def expect_int(self) -> int:
-        return self.integer(self.expect("NUMBER"))
+    def expect_int(self, kind: Optional[str] = None) -> int:
+        """An integer literal; one of type `kind` (i32 or i64), if given, must fit it."""
+        tok = self.expect("NUMBER")
+        value = self.integer(tok)
+        bound = 1 << int(kind[1:]) - 1 if kind else None
+        if bound and not -bound <= value < bound:
+            self.error(f"{kind} literal {value} out of range", tok)
+        return value
 
     # -- top level
 
@@ -345,7 +351,7 @@ class _Parser:
             self.expect("PUNCT", "!")
             self.expect("PUNCT", "{")
             self.expect("IDENT", "i32")
-            behavior = self.expect_int()
+            behavior = self.expect_int("i32")
             self.expect("PUNCT", ",")
             self.expect("PUNCT", "!")
             key = self.expect("STRING").text[1:-1]
@@ -354,7 +360,7 @@ class _Parser:
             if ty == "i1":
                 value = self._parse_bool()
             elif ty in ("i32", "i64"):
-                value = self.expect_int()
+                value = self.expect_int(ty)
             else:
                 self.error(f"unsupported module-flag value type {ty!r}")
             self.expect("PUNCT", "}")
@@ -381,6 +387,7 @@ class _Parser:
         blocks = []
         label, instructions = None, []
         first = True
+        defined = set()  # the function's local values: LLVM defines each once
         while not self.accept("PUNCT", "}"):
             tok = self.peek()
             if tok.kind == "EOF":
@@ -396,7 +403,7 @@ class _Parser:
             if first:
                 # unlabeled first block gets LLVM's implicit name
                 label, first = "entry", False
-            instructions.append(self._parse_instruction())
+            instructions.append(self._parse_instruction(defined))
         blocks.append(self._close_block(label, instructions, name_tok))
 
         labels = [b.label for b in blocks]
@@ -424,10 +431,13 @@ class _Parser:
             self.error(f"block %{label} does not end in a terminator", where)
         return BasicBlock(label, tuple(instructions))
 
-    def _parse_instruction(self):
+    def _parse_instruction(self, defined: set):
         tok = self.peek()
         if tok.kind == "LOCAL":
             var = self.next().text
+            if var in defined:
+                self.error(f"multiple definition of local value {var}", tok)
+            defined.add(var)
             self.expect("PUNCT", "=")
             op = self.peek()
             if op.kind != "IDENT" or op.text != "call":
@@ -516,7 +526,7 @@ class _Parser:
             self.error(f"expected a label constant, found {tok.text!r}", tok)
 
         if kind in ("i64", "i32"):
-            return Const(kind, self.expect_int())
+            return Const(kind, self.expect_int(kind))
 
         if kind == "i1":
             return self._parse_i1()
@@ -547,7 +557,7 @@ class _Parser:
     def _parse_inttoptr(self, tok) -> int:
         self.expect("PUNCT", "(")
         self.expect("IDENT", "i64")
-        value = self.expect_int()
+        value = self.expect_int("i64")
         if value < 0:
             self.error("negative qubit/result index", tok)
         self.expect("IDENT", "to")

@@ -87,18 +87,22 @@ def record(r):
     return f"  call void @__quantum__rt__result_record_output({result(r)}, i8* null)"
 
 
-def branch(index, r, then_lines, else_lines, before_br=()):
-    """Bind %c<index> to result r, run `before_br`, then branch on it."""
+def branch(index, r, then_lines, else_lines, before_br=(), exits=(None, None)):
+    """Bind %c<index> to result r, run `before_br`, then branch on it.
+
+    Each arm jumps to its label in `exits`, or by default to join<index>.
+    """
+    then_exit, else_exit = (label or f"join{index}" for label in exits)
     return [
         f"  %c{index} = call i1 @__quantum__qis__read_result__body({result(r)})",
         *before_br,
         f"  br i1 %c{index}, label %then{index}, label %else{index}",
         f"then{index}:",
         *then_lines,
-        f"  br label %join{index}",
+        f"  br label %{then_exit}",
         f"else{index}:",
         *else_lines,
-        f"  br label %join{index}",
+        f"  br label %{else_exit}",
         f"join{index}:",
     ]
 
@@ -167,7 +171,9 @@ def feed_forward_programs(draw):
     Some branch arms end by measuring a random bit into the result of an
     earlier round, so a shot that resumes where an earlier one did and
     takes the other arm must read the result bits of the resume point, not
-    the earlier shot's writes.
+    the earlier shot's writes.  Some arms end with a jump back to an earlier
+    block: a shot faults there if it entered that block, which a shot that
+    resumes past it must remember, and otherwise runs it.
     """
     n = draw(st.integers(1, 4))
     num_results = draw(st.integers(1, 3))
@@ -208,7 +214,7 @@ def feed_forward_programs(draw):
         # a rotation first, so most branch conditions are random
         return r, [call("ry", f"double {hexdouble(draw(angles))}", qubit(q)), mz(q, r)]
 
-    lines, recorded_before, earlier = ops(), 0, set()
+    lines, recorded_before, earlier, labels = ops(), 0, set(), ["entry"]
     for index in range(draw(st.integers(0, 4))):
         r, measure = measure_random_bit()
         lines += measure
@@ -219,7 +225,11 @@ def feed_forward_programs(draw):
         overwrite = sorted(earlier - {r})
         arms = [ops() + (measure_random_bit(draw(st.sampled_from(overwrite)))[1]
                          if overwrite and draw(st.booleans()) else []) for _ in range(2)]
-        lines += branch(index, r, *arms, before_br)
+        # about one arm in ten jumps back (hypothesis draws a range's ends more often)
+        exits = [draw(st.sampled_from(labels + [f"then{index}", f"else{index}"][: arm + 1]))
+                 if draw(st.integers(0, 9)) == 7 else None for arm in range(2)]
+        lines += branch(index, r, *arms, before_br, exits)
+        labels += [f"then{index}", f"else{index}", f"join{index}"]
         earlier.add(r)
         lines += ops()
     return program(lines, n, sorted(measured), num_results, recorded_before)
@@ -252,17 +262,26 @@ def three_coin_flips(if_111, if_011=None, otherwise=()):
                     branch(3, 1, branch(4, 2, if_011, otherwise), otherwise))]
 
 
-def test_shots_resuming_at_one_node_read_its_result_bits():
-    # Past the node cap, every shot with shot 0's first two outcomes resumes
-    # at its third draw.  One that takes the else arm records result 0 as
-    # measured before that node, not as an earlier resumed shot's then arm
-    # overwrote it.
-    def coin(r):
-        return [call("h", qubit(0)), mz(0, r)]
+def coin(r):
+    return [call("h", qubit(0)), mz(0, r)]
 
-    source = program([*coin(0), *coin(1), *coin(1), *branch(0, 1, coin(0), [])], 1, [0, 1], 2)
+
+# Past the node cap, shots with shot 0's first two outcomes resume from one
+# stored state, one after another.
+@pytest.mark.parametrize("then_arm, after, seeds", [
+    # One that takes the else arm records result 0 as measured before that
+    # node, not as an earlier resumed shot's then arm overwrote it.
+    (coin(0), [], range(3)),
+    # One that takes the else arm, which does not bind %v, faults on the
+    # branch on %v, although an earlier resumed shot's then arm bound it.
+    ([f"  %v = call i1 @__quantum__qis__read_result__body({result(0)})"],
+     ["  br i1 %v, label %a, label %b", "a:", "  br label %b", "b:"], (12, 16)),
+], ids=["result-bits", "ssa-values"])
+def test_shots_resuming_at_one_node_read_its_state(then_arm, after, seeds):
+    lines = [*coin(0), *coin(1), *coin(1), *branch(0, 1, then_arm, []), *after]
+    source = program(lines, 1, [0, 1], 2)
     with mock.patch.object(interpreter, "MAX_TRIE_NODES", 3):
-        for seed in range(3):
+        for seed in seeds:
             assert_matches_reference(source, shots=64, seed=seed)
 
 
@@ -500,25 +519,24 @@ def test_a_two_state_budget_evicts_and_matches_the_per_shot_loop():
 READ_C = f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})"
 
 
-@pytest.mark.parametrize("lines, limit", [
-    # 4 + 1 + 3 instructions (`done` records and returns)
-    ([call("h", qubit(0)), mz(0, 0), READ_C, "  br i1 %c, label %spin, label %done",
-      "spin:", "  br label %spin", "done:"], 8),
-    # 7 + 5 + 3 instructions.  A shot with outcome 1 re-enters `spin` at step
-    # 12 and is due to bind %c again at step 15, the limit.  It resumes at
-    # the mz, step 5: counting its steps from there would let it reach that
-    # binding and fault on it instead.
-    ([call("h", qubit(0)), *[call("z", qubit(0))] * 4, mz(0, 0), "  br label %spin",
-      "spin:", *[call("z", qubit(0))] * 3, READ_C, "  br i1 %c, label %spin, label %done",
-      "done:"], 15),
+@pytest.mark.parametrize("lines", [
+    # outcome 1 enters `spin`, which jumps back into itself
+    [call("h", qubit(0)), mz(0, 0), READ_C, "  br i1 %c, label %spin, label %done",
+     "spin:", "  br label %spin", "done:"],
+    # `spin` measures, then flips the qubit.  Shot 0 measures 0, so shot 2,
+    # the first to measure 1, resumes at the mz inside `spin` and must fault
+    # at the jump back; a shot that forgot it had entered `spin` would
+    # measure 0 there and end.
+    [call("h", qubit(0)), "  br label %spin", "spin:", mz(0, 0), call("x", qubit(0)), READ_C,
+     "  br i1 %c, label %spin, label %done", "done:"],
 ], ids=["loop", "resumed"])
-def test_step_limit_hit_on_one_history_only(lines, limit):
+def test_reentering_a_block_faults_on_one_history_only(lines):
     source = program(lines, 1, [0], 1)
-    module = parse_module(source)
-    assert sum(map(len, compile_program(module, find_entry(module), default_registry()))) == limit
     fault = assert_matches_reference(source, shots=16, seed=0)
-    assert str(fault).endswith(f": step limit of {limit} exceeded: the shot entered a block twice")
-    assert not str(fault).startswith("shot 0:")  # earlier shots were sealed first
+    assert str(fault) == "shot 2: entered block 1 twice"  # earlier shots were sealed first
+    with allocated_states() as states, pytest.raises(RuntimeFault):
+        run(source, shots=16, seed=0)
+    assert states[0] is None and states[-1] is not None  # shot 2 resumed from a stored state
 
 
 def test_fault_names_lowest_faulting_shot():

@@ -145,7 +145,7 @@ def test_runtime_fault_exit_code(tmp_path):
     assert main(["run", write(tmp_path, src)]) == EX_SOFTWARE
 
 
-def test_a_program_that_never_ends_faults_at_its_instruction_count(tmp_path, capsys):
+def test_a_program_that_never_ends_faults_at_its_first_jump_back(tmp_path, capsys):
     src = make_program(
         "entry:\n  br label %loop\n"
         "loop:\n"
@@ -157,13 +157,54 @@ def test_a_program_that_never_ends_faults_at_its_instruction_count(tmp_path, cap
         attrs='"entry_point" "num_required_qubits"="1" "num_required_results"="1"',
     )
     assert main(["run", write(tmp_path, src), "--shots", "3"]) == EX_SOFTWARE
+    assert capsys.readouterr().err == "runtime fault: shot 0: entered block 1 twice\n"
+
+
+# checked before the input is read, so a missing file is exit 64 too
+@pytest.mark.parametrize("args", [["{teleport}"], ["{teleport}", "--validate-only"],
+                                  ["/nonexistent/prog.ll"]])
+def test_unknown_backend(teleport_file, capsys, args):
+    args = [arg.format(teleport=teleport_file) for arg in args]
+    assert main(["run", *args, "--backend", "xacc"]) == EX_USAGE
     assert capsys.readouterr().err == (
-        "runtime fault: shot 0: step limit of 4 exceeded: the shot entered a block twice\n")
+        "error: --backend must be one of statevector, trace, not 'xacc'\n")
 
 
-def test_unknown_backend(teleport_file, capsys):
-    assert main(["run", teleport_file, "--backend", "xacc"]) == EX_USAGE
-    assert "statevector" in capsys.readouterr().err
+def test_a_local_value_defined_twice_is_a_parse_error(tmp_path, capsys):
+    read = "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
+    src = make_program(
+        f"entry:\n{read}  br label %next\nnext:\n{read}  ret void",
+        declarations="declare i1 @__quantum__qis__read_result__body(%Result*)",
+    )
+    assert main(["run", write(tmp_path, src)]) == EX_DATAERR
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'prog.ll'}: line 11:3: multiple definition of local value %0\n")
+
+
+RECORD_ARRAY = """\
+  call void @__quantum__rt__array_record_output(i64 {length}, i8* null)
+  ret void"""
+
+
+@pytest.mark.parametrize("length", ["99999999999999999999999", "-9223372036854775809"])
+def test_an_integer_literal_outside_its_type_is_a_parse_error(tmp_path, capsys, length):
+    src = make_program(
+        "entry:\n" + RECORD_ARRAY.format(length=length),
+        declarations="declare void @__quantum__rt__array_record_output(i64, i8*)",
+    )
+    assert main(["run", write(tmp_path, src)]) == EX_DATAERR
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'prog.ll'}: line 8:53: i64 literal {length} out of range\n")
+
+
+def test_a_negative_array_length_is_a_validation_error(tmp_path, capsys):
+    src = make_program(
+        "entry:\n" + RECORD_ARRAY.format(length=-1),
+        declarations="declare void @__quantum__rt__array_record_output(i64, i8*)",
+    )
+    assert main(["run", write(tmp_path, src), "--validate-only"]) == EX_CONFIG
+    assert capsys.readouterr().err == (
+        "error: main:entry:0: @__quantum__rt__array_record_output declares a negative length (-1)\n")
 
 
 def test_unwritable_output(teleport_file):

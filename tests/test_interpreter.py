@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,20 @@ def test_run_config_rejects_a_seed_that_is_not_a_non_negative_int(seed):
         RunConfig(seed=seed)
 
 
+@pytest.mark.parametrize("backend", ["foo", "", None, ["statevector"]])
+def test_run_config_rejects_an_unknown_backend(backend):
+    with pytest.raises(ValueError, match=r"^backend must be one of statevector, trace, not "):
+        RunConfig(backend_choice=backend)
+
+
+def test_run_config_cannot_be_changed_past_its_checks():
+    config = RunConfig()
+    for name, value in ("shots", 0), ("seed", -1), ("backend_choice", "foo"), ("per_shot", True):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert config == RunConfig()
+
+
 # shots=True ran one shot; 2.5 and "3" failed with a TypeError inside run_program
 @pytest.mark.parametrize("shots", [True, False, 0, -1, 2.5, "3", None])
 def test_run_config_rejects_shots_that_are_not_a_positive_int(shots):
@@ -136,14 +152,31 @@ def test_fault_is_annotated_with_shot_index():
         run(src, shots=3)
 
 
-def test_step_limit_guards_block_cycles():
-    # two instructions, so the third step re-enters a block
-    src = make_program("entry:\n  br label %loop\nloop:\n  br label %loop")
-    module = parse_module(src)
+LOOP = make_program(
+    "entry:\n  br label %loop\n"
+    "loop:\n"
+    "  call void @__quantum__qis__h__body(%Qubit* null)\n"
+    "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+    "  br label %loop",
+    declarations=MEASURE_DECLS,
+    attrs=ENTRY_1Q,
+)
+
+
+def test_a_shot_faults_at_the_jump_back_into_a_block():
+    module = parse_module(LOOP)
     entry = find_entry(module)
-    with pytest.raises(RuntimeFault, match=r"^shot 0: step limit of 2 exceeded: "
-                                           r"the shot entered a block twice$"):
-        run_program(module, entry, default_registry(), RunConfig(shots=1))
+    with pytest.raises(RuntimeFault, match=r"^shot 0: entered block 1 twice$"):
+        run_program(module, entry, default_registry(), RunConfig(shots=3))
+    backend = StatevectorBackend()
+    backend.allocate(entry.num_qubits)
+    with pytest.raises(RuntimeFault, match=r"^entered block 1 twice$"):
+        execute_shot(compile_program(module, entry, default_registry()), backend, shot_rng(0, 0))
+
+
+def test_a_jump_back_to_the_entry_block_faults():
+    with pytest.raises(RuntimeFault, match=r"^shot 0: entered block 0 twice$"):
+        run(make_program("entry:\n  br label %next\nnext:\n  br label %entry"), shots=1)
 
 
 @pytest.mark.parametrize("cond,taken,bit", [("true", "one", "1"), ("false", "zero", "0")])
@@ -188,8 +221,8 @@ def test_teleport_forced_bits_give_expected_bitstring(teleport_module, teleport_
     assert out.bitstring == "100"
 
 
-def test_ssa_value_bound_twice_in_one_shot_faults():
-    # the shot never enters `done`, so it binds %0 again within its 6 steps
+def test_a_loop_back_to_a_binding_faults_at_the_jump():
+    # the parser lets %0 be defined once, and the jump that would bind it again faults
     src = make_program(
         "entry:\n"
         "  call void @__quantum__qis__x__body(%Qubit* null)\n"
@@ -203,7 +236,7 @@ def test_ssa_value_bound_twice_in_one_shot_faults():
         declarations=MEASURE_DECLS,
         attrs=ENTRY_1Q,
     )
-    with pytest.raises(RuntimeFault, match=r"^shot 0: SSA value %0 written twice in one shot$"):
+    with pytest.raises(RuntimeFault, match=r"^shot 0: entered block 1 twice$"):
         run(src, shots=1)
 
 

@@ -222,6 +222,44 @@ class TestParseErrors:
                 parse_module(text)
             assert (exc.value.line, exc.value.column) == (line, column)
 
+    def test_a_local_value_is_defined_once_per_function(self):
+        read = "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
+        decls = "declare i1 @__quantum__qis__read_result__body(%Result*)"
+        with pytest.raises(ParseError, match="multiple definition of local value %0") as exc:
+            parse_module(make_program(f"entry:\n{read}{read}  ret void", declarations=decls))
+        assert (exc.value.line, exc.value.column) == (9, 3)
+        # each function has its own locals
+        src = make_program(f"entry:\n{read}  ret void", declarations=decls)
+        other = f"\ndefine void @other() {{\nentry:\n{read}  ret void\n}}\n"
+        assert len(parse_module(src + other).functions) == 2
+
+    @pytest.mark.parametrize("text, bad", [
+        ("  call void @__quantum__rt__array_record_output(i64 -9223372036854775808, i8* null)",
+         None),
+        ("  call void @__quantum__rt__array_record_output(i64 9223372036854775808, i8* null)",
+         "i64 literal 9223372036854775808"),
+        ("  call void @__quantum__qis__h__body(%Qubit* inttoptr (i64 18446744073709551615 to "
+         "%Qubit*))", "i64 literal 18446744073709551615"),
+    ])
+    def test_integer_literals_fit_their_type(self, text, bad):
+        decls = ("declare void @__quantum__rt__array_record_output(i64, i8*)\n"
+                 "declare void @__quantum__qis__h__body(%Qubit*)")
+        src = make_program(f"entry:\n{text}\n  ret void", declarations=decls)
+        if bad is None:
+            parse_module(src)
+            return
+        with pytest.raises(ParseError, match=f"{bad} out of range") as exc:
+            parse_module(src)
+        assert (exc.value.line, exc.value.column) == (8, text.index(bad.split()[-1]) + 1)
+
+    def test_a_module_flag_integer_fits_its_type(self):
+        src = make_program("entry:\n  ret void")
+        flags = '\n!llvm.module.flags = !{!0}\n!0 = !{i32 1, !"qir_major_version", i32 %s}\n'
+        assert parse_module(src + flags % "2147483647").module_flags[0].value == 2147483647
+        with pytest.raises(ParseError, match="i32 literal 2147483648 out of range") as exc:
+            parse_module(src + flags % "2147483648")
+        assert (exc.value.line, exc.value.column) == (17, 41)
+
     def test_block_missing_terminator(self):
         src = make_program(
             "entry:\n  call void @__quantum__qis__h__body(%Qubit* null)",
