@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .backends import DEFAULT_MAX_QUBITS
 from .errors import AmbiguousEntry, EntryPointError, NoEntry
@@ -20,16 +19,13 @@ from .ir import (
 from .registry import OpKind, Registry
 
 
-@dataclass(frozen=True)
-class EntryPoint:
+class EntryPoint(NamedTuple):
     function_name: str
     num_qubits: int
     num_results: int
-    profile_name: str = ""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     location: str
@@ -86,10 +82,7 @@ def find_entry(module: ProgramModule, override: Optional[str] = None) -> EntryPo
         except KeyError:
             raise NoEntry(f"no defined function named {override!r}")
     else:
-        candidates = [
-            f for f in module.functions
-            if f.attr_group is not None and _is_entry_group(module.attr_group(f.attr_group))
-        ]
+        candidates = [f for f in module.functions if _is_entry_group(f.attrs)]
         if not candidates:
             raise NoEntry("no function carries the entry_point attribute")
         if len(candidates) > 1:
@@ -97,16 +90,14 @@ def find_entry(module: ProgramModule, override: Optional[str] = None) -> EntryPo
             raise AmbiguousEntry(f"multiple entry_point functions: {names}")
         fn = candidates[0]
 
-    group = module.attr_group(fn.attr_group) if fn.attr_group is not None else None
-    num_qubits = _count_from_group(group, _QUBIT_COUNT_KEYS)
-    num_results = _count_from_group(group, _RESULT_COUNT_KEYS)
+    num_qubits = _count_from_group(fn.attrs, _QUBIT_COUNT_KEYS)
+    num_results = _count_from_group(fn.attrs, _RESULT_COUNT_KEYS)
     max_q, max_r = _scan_max_indices(fn)
     if num_qubits is None:
         num_qubits = max_q + 1
     if num_results is None:
         num_results = max_r + 1
-    profile = group.get("qir_profiles") if group is not None else None
-    return EntryPoint(fn.name, num_qubits, num_results, profile or "")
+    return EntryPoint(fn.name, num_qubits, num_results)
 
 
 class Control(enum.Enum):

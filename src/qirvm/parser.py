@@ -3,8 +3,10 @@
 Covers exactly the constructs a base-profile program needs: opaque type
 declarations, global constant strings, one or more function definitions
 built from call/br/ret instructions, external declarations, attribute
-groups, and module flags.  Anything else (phi, switch, alloca,
-arithmetic, ...) is a hard ParseError rather than a silent skip.
+groups, and module flags.  Each is checked, but the module keeps only
+the function definitions, each with its attribute group (see ir.py).
+Anything else (phi, switch, alloca, arithmetic, ...) is a hard
+ParseError rather than a silent skip.
 
 Both typed-pointer (``%Qubit*``) and opaque-pointer (``ptr``) spellings
 are accepted and normalized to the same `Const` operands: a ``ptr``
@@ -27,9 +29,7 @@ from .ir import (
     Call,
     CondBranch,
     Const,
-    FunctionDecl,
     FunctionDef,
-    ModuleFlag,
     ProgramModule,
     ReturnVoid,
     TERMINATORS,
@@ -145,10 +145,9 @@ class _Parser:
         self.pos = 0
         self.source_name = ""
         self.globals = {}  # name -> (text, byte count)
-        self.functions = []
-        self.declarations = []
-        self.attribute_groups = []
-        self.metadata_nodes = {}
+        self.functions = []  # (FunctionDef, its #N token or None); _finish adds attrs
+        self.attr_groups = {}  # group id -> AttrGroup
+        self.metadata_ids = set()  # the defined !N nodes
         self.module_flag_refs = []  # (node id, token)
         self.attr_refs = []  # (function name, #N token)
 
@@ -210,7 +209,7 @@ class _Parser:
             elif tok.kind == "IDENT" and tok.text == "define":
                 self.functions.append(self._parse_define())
             elif tok.kind == "IDENT" and tok.text == "declare":
-                self.declarations.append(self._parse_declare())
+                self._parse_declare()
             elif tok.kind == "IDENT" and tok.text == "attributes":
                 self._parse_attr_group()
             elif tok.kind == "PUNCT" and tok.text == "!":
@@ -283,38 +282,36 @@ class _Parser:
 
     _PARAM_ATTRS = {"writeonly", "readonly", "readnone", "nocapture", "immarg"}
 
-    def _parse_declare(self) -> FunctionDecl:
+    def _parse_declare(self):
         self.expect("IDENT", "declare")
         ret = self._parse_type()
         if ret not in ("void", "i1"):
             self.error(f"unsupported declaration return type {ret!r}")
         name = self.expect("GLOBAL").text[1:]
         self.expect("PUNCT", "(")
-        params = []
         if not self.accept("PUNCT", ")"):
             while True:
-                kind = self._parse_type()
-                if kind == "ptr":
-                    kind = self._ptr_kind(name, len(params)) or "ptr"
-                params.append(kind)
+                self._parse_type()
                 while self.peek().kind == "IDENT" and self.peek().text in self._PARAM_ATTRS:
                     self.next()
                 if self.accept("PUNCT", ")"):
                     break
                 self.expect("PUNCT", ",")
-        return FunctionDecl(name, tuple(params), ret, self._parse_attr_ref(name))
+        self._parse_attr_ref(name)
 
-    def _parse_attr_ref(self, name: str) -> Optional[int]:
-        """An optional `#N` after a signature; _finish checks group N exists."""
+    def _parse_attr_ref(self, name: str) -> Optional[Token]:
+        """An optional `#N` after a signature; _finish resolves group N."""
         tok = self.accept("ATTRID")
-        if tok is None:
-            return None
-        self.attr_refs.append((name, tok))
-        return int(tok.text[1:])
+        if tok is not None:
+            self.attr_refs.append((name, tok))
+        return tok
 
     def _parse_attr_group(self):
         self.expect("IDENT", "attributes")
-        gid = int(self.expect("ATTRID").text[1:])
+        gid_tok = self.expect("ATTRID")
+        gid = int(gid_tok.text[1:])
+        if gid in self.attr_groups:
+            self.error(f"duplicate attribute group {gid_tok.text}", gid_tok)
         self.expect("PUNCT", "=")
         self.expect("PUNCT", "{")
         bare, kv = set(), []
@@ -330,58 +327,60 @@ class _Parser:
                 bare.add(self.next().text)  # e.g. "irreversible" spelled bare
             else:
                 self.error(f"unexpected token {tok.text!r} in attribute group", tok)
-        self.attribute_groups.append((gid, AttrGroup(frozenset(bare), tuple(kv))))
+        self.attr_groups[gid] = AttrGroup(frozenset(bare), tuple(kv))
 
     # -- metadata / module flags
 
     def _parse_metadata(self):
-        self.expect("PUNCT", "!")
+        bang = self.expect("PUNCT", "!")
         tok = self.next()
         if tok.kind == "IDENT" and tok.text == "llvm.module.flags":
             self.expect("PUNCT", "=")
             self.expect("PUNCT", "!")
             self.expect("PUNCT", "{")
             while not self.accept("PUNCT", "}"):
-                bang = self.expect("PUNCT", "!")
-                self.module_flag_refs.append((self.expect_int(), bang))
+                ref = self.expect("PUNCT", "!")
+                self.module_flag_refs.append((self.expect_int(), ref))
                 self.accept("PUNCT", ",")
         elif tok.kind == "NUMBER":
             node_id = self.integer(tok)
+            if node_id in self.metadata_ids:
+                self.error(f"duplicate metadata !{node_id}", bang)
+            self.metadata_ids.add(node_id)
             self.expect("PUNCT", "=")
             self.expect("PUNCT", "!")
             self.expect("PUNCT", "{")
             self.expect("IDENT", "i32")
-            behavior = self.expect_int("i32")
+            self.expect_int("i32")  # behavior
             self.expect("PUNCT", ",")
             self.expect("PUNCT", "!")
-            key = self.expect("STRING").text[1:-1]
+            self.expect("STRING")  # key
             self.expect("PUNCT", ",")
             ty = self.expect("IDENT").text
             if ty == "i1":
-                value = self._parse_bool()
+                self._parse_bool()
             elif ty in ("i32", "i64"):
-                value = self.expect_int(ty)
+                self.expect_int(ty)
             else:
                 self.error(f"unsupported module-flag value type {ty!r}")
             self.expect("PUNCT", "}")
-            self.metadata_nodes[node_id] = ModuleFlag(behavior, key, value)
         else:
             self.error(f"unsupported metadata {tok.text!r}", tok)
 
     # -- function bodies
 
-    def _parse_define(self) -> FunctionDef:
+    def _parse_define(self) -> tuple:
         self.expect("IDENT", "define")
         ret = self._parse_type()
         if ret != "void":
             self.error("entry functions must return void")
         name_tok = self.expect("GLOBAL")
         name = name_tok.text[1:]
-        if any(f.name == name for f in self.functions):
+        if any(f.name == name for f, _ in self.functions):
             self.error(f"duplicate function name @{name}", name_tok)
         self.expect("PUNCT", "(")
         self.expect("PUNCT", ")")
-        attr = self._parse_attr_ref(name)
+        attr_ref = self._parse_attr_ref(name)
         self.expect("PUNCT", "{")
 
         blocks = []
@@ -410,7 +409,7 @@ class _Parser:
         if len(set(labels)) != len(labels):
             self.error(f"duplicate block label in @{name}", name_tok)
         for b in blocks:
-            term = b.terminator
+            term = b.instructions[-1]
             targets = []
             if isinstance(term, Branch):
                 targets = [term.target_label]
@@ -419,7 +418,7 @@ class _Parser:
             for t in targets:
                 if t not in labels:
                     self.error(f"branch to unknown label %{t} in @{name}", name_tok)
-        return FunctionDef(name, tuple(blocks), attr)
+        return FunctionDef(name, tuple(blocks)), attr_ref
 
     def _close_block(self, label, instructions, where) -> BasicBlock:
         if label is None or not instructions:
@@ -588,7 +587,9 @@ class _Parser:
             index_type = self.expect("IDENT")
             if index_type.text not in ("i32", "i64"):
                 self.error(f"expected 'i32' or 'i64', found {index_type.text!r}", index_type)
-            self.expect("NUMBER")
+            index = self.expect("NUMBER")
+            if self.integer(index) != 0:
+                self.error(f"getelementptr index must be 0, found {index.text}", index)
         self.expect("PUNCT", ")")
         return text
 
@@ -602,22 +603,17 @@ class _Parser:
     # -- module assembly
 
     def _finish(self) -> ProgramModule:
-        group_ids = {gid for gid, _ in self.attribute_groups}
         for name, tok in self.attr_refs:
-            if int(tok.text[1:]) not in group_ids:
+            if int(tok.text[1:]) not in self.attr_groups:
                 self.error(f"@{name} references unknown attribute group {tok.text}", tok)
-        flags = []
         for ref, tok in self.module_flag_refs:
-            if ref not in self.metadata_nodes:
+            if ref not in self.metadata_ids:
                 self.error(f"module flag references unknown metadata !{ref}", tok)
-            flags.append(self.metadata_nodes[ref])
-        return ProgramModule(
-            source_name=self.source_name,
-            functions=tuple(self.functions),
-            declarations=tuple(self.declarations),
-            attribute_groups=tuple(self.attribute_groups),
-            module_flags=tuple(flags),
+        functions = tuple(
+            fn._replace(attrs=self.attr_groups[int(tok.text[1:])]) if tok else fn
+            for fn, tok in self.functions
         )
+        return ProgramModule(self.source_name, functions)
 
 
 def parse_module(source: str, registry: Optional[Registry] = None) -> ProgramModule:

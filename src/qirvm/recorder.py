@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -13,8 +12,7 @@ from .errors import RuntimeFault
 JSON_SCHEMA_ID = "qirvm-result/1"
 
 
-@dataclass
-class ShotOutput:
+class ShotOutput(NamedTuple):
     bitstring: str
     labels: tuple = ()
 
@@ -44,8 +42,7 @@ class ShotRecorder:
         return ShotOutput(bitstring, tuple(label for _, label in self.entries))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     program_name: str
     backend_name: str
     shots: int

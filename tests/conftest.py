@@ -11,6 +11,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 TELEPORT_LL = (FIXTURES / "teleport.ll").read_text()
 QPE_LL = (FIXTURES / "qpe_phi_third_k5.ll").read_text()
+TELEPORT_CALLS = 17  # call instructions in teleport.ll
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Canonical textual-IR printer, a test oracle for the parser.
 
 `render_module` spells a parsed module back in the typed-pointer form;
-reparsing the text yields an equal module, which the round-trip tests in
-test_parser.py, test_properties.py and test_interpreter.py check.
+reparsing the text yields an equal module of the same record types,
+which the round-trip tests in test_parser.py, test_properties.py and
+test_interpreter.py check.  The module keeps no declarations or module
+flags, so the text has none; function i's attribute group is `#i`.
 """
 
 import struct
@@ -40,7 +42,7 @@ def _render_operand(op: Operand, globals_: dict) -> str:
         return f"i1 {op.name}"
     kind, value = op
     if kind in ("qubit", "result"):
-        pointer = _KIND_TEXT[kind]
+        pointer = "%Qubit*" if kind == "qubit" else "%Result*"
         if value == 0:
             return f"{pointer} null"
         return f"{pointer} inttoptr (i64 {value} to {pointer})"
@@ -75,24 +77,18 @@ def _render_instruction(ins: Instruction, globals_: dict) -> str:
     raise TypeError(f"not an instruction: {ins!r}")
 
 
-_KIND_TEXT = {
-    "qubit": "%Qubit*",
-    "result": "%Result*",
-    "label": "i8*",
-    "i64": "i64",
-    "i32": "i32",
-    "i1": "i1",
-    "double": "double",
-    "ptr": "ptr",
-}
-
-
 def render_module(module: ProgramModule) -> str:
     """Render a module back to textual IR; reparsing yields an equal module."""
     globals_ = {}  # label text -> global name
     body = []
-    for fn in module.functions:
-        suffix = f" #{fn.attr_group}" if fn.attr_group is not None else ""
+    groups = []
+    for gid, fn in enumerate(module.functions):
+        suffix = ""
+        if fn.attrs is not None:
+            parts = [f'"{k}"' for k in sorted(fn.attrs.bare_keys)]
+            parts += [f'"{k}"="{v}"' for k, v in fn.attrs.kv]
+            groups.append(f"attributes #{gid} = {{ {' '.join(parts)} }}")
+            suffix = f" #{gid}"
         body.append(f"define void @{fn.name}(){suffix} {{")
         for i, block in enumerate(fn.blocks):
             if i > 0:
@@ -111,29 +107,14 @@ def render_module(module: ProgramModule) -> str:
     if globals_:
         lines.append("")
     lines.extend(body)
-
-    for decl in module.declarations:
-        params = ", ".join(_KIND_TEXT[k] for k in decl.param_kinds)
-        suffix = f" #{decl.attr_group}" if decl.attr_group is not None else ""
-        ret = "i1" if decl.return_kind == "i1" else "void"
-        lines.append(f"declare {ret} @{decl.name}({params}){suffix}")
-    lines.append("")
-
-    for gid, grp in module.attribute_groups:
-        parts = [f'"{k}"' for k in sorted(grp.bare_keys)]
-        parts += [f'"{k}"="{v}"' for k, v in grp.kv]
-        lines.append(f"attributes #{gid} = {{ {' '.join(parts)} }}")
-    lines.append("")
-
-    if module.module_flags:
-        refs = ", ".join(f"!{i}" for i in range(len(module.module_flags)))
-        lines.append(f"!llvm.module.flags = !{{{refs}}}")
-        lines.append("")
-        for i, flag in enumerate(module.module_flags):
-            if isinstance(flag.value, bool):
-                value = f"i1 {'true' if flag.value else 'false'}"
-            else:
-                value = f"i32 {flag.value}"
-            lines.append(f'!{i} = !{{i32 {flag.behavior}, !"{flag.key}", {value}}}')
-
+    lines.extend(groups)
     return "\n".join(lines) + "\n"
+
+
+def same_records(a, b) -> bool:
+    """Equal and built from the same record types.
+
+    The IR records are NamedTuples, whose == compares fields only; their
+    repr names each record's class.
+    """
+    return a == b and repr(a) == repr(b)

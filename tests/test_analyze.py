@@ -21,7 +21,6 @@ class TestFindEntry:
         assert entry.function_name == "main"
         assert entry.num_qubits == 3
         assert entry.num_results == 3
-        assert entry.profile_name == "custom"
 
     def test_no_entry(self):
         src = make_program("entry:\n  ret void", attrs='"other"')

@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from qirvm import ParseError, parse_module
+from qirvm.cli import EX_DATAERR, main
 from qirvm.ir import (
     Branch,
     Call,
@@ -12,8 +13,8 @@ from qirvm.ir import (
 )
 from qirvm.parser import parse_double_literal
 
-from conftest import QPE_LL, TELEPORT_LL, make_program
-from irprint import render_module
+from conftest import QPE_LL, TELEPORT_CALLS, TELEPORT_LL, make_program
+from irprint import render_module, same_records
 from test_properties import FUZZ_BASE
 
 # FUZZ_BASE with its label payload holding a quote, a backslash and a newline
@@ -27,9 +28,8 @@ class TestTeleportProgram:
         assert len(module.functions) == 1
         assert module.functions[0].name == "main"
         assert len(module.functions[0].blocks) == 7
-        assert len(module.declarations) == 9
-        assert len(module.attribute_groups) == 2
-        assert len(module.module_flags) == 4
+        assert sum(isinstance(ins, Call) for block in module.functions[0].blocks
+                   for ins in block.instructions) == TELEPORT_CALLS
 
     def test_block_labels(self):
         module = parse_module(TELEPORT_LL)
@@ -45,11 +45,14 @@ class TestTeleportProgram:
         third = module.functions[0].blocks[0].instructions[2]
         assert third.args == (Const("qubit", 0), Const("qubit", 1))
 
-    def test_module_flags(self):
-        module = parse_module(TELEPORT_LL)
-        flags = {f.key: f.value for f in module.module_flags}
-        assert flags["qir_major_version"] == 1
-        assert flags["dynamic_qubit_management"] is False
+    def test_module_flags(self, tmp_path, capsys):
+        # the fixture's four flags parse; a reference to an unknown node is a data error
+        assert re.findall(r"^!(\d+) = ", TELEPORT_LL, re.MULTILINE) == ["0", "1", "2", "3"]
+        parse_module(TELEPORT_LL)
+        path = tmp_path / "unknown_flag.ll"
+        path.write_text(TELEPORT_LL.replace("!{!0, !1, !2, !3}", "!{!0, !1, !2, !9}"))
+        assert main(["run", str(path)]) == EX_DATAERR
+        assert "unknown metadata !9" in capsys.readouterr().err
 
 
 def test_minimal_program():
@@ -135,7 +138,7 @@ attributes #0 = { "entry_point" }
     for label in ["i8* getelementptr inbounds ([3 x i8], [3 x i8]* @0, i64 0, i64 0)",
                   "ptr getelementptr inbounds ([3 x i8], ptr @0, i64 0, i64 0)",
                   "ptr getelementptr inbounds ([3 x i8], ptr @0, i32 0, i32 0)"]:
-        assert parse_module(src.replace(typed, label)) == module
+        assert same_records(parse_module(src.replace(typed, label)), module)
 
 
 def test_comments_anywhere():
@@ -155,9 +158,9 @@ def test_branch_instructions():
         declarations="declare i1 @__quantum__qis__read_result__body(%Result*)",
     )
     fn = parse_module(src).functions[0]
-    assert isinstance(fn.blocks[0].terminator, CondBranch)
-    assert fn.blocks[0].terminator.then_label == "a"
-    assert isinstance(fn.blocks[1].terminator, Branch)
+    assert isinstance(fn.blocks[0].instructions[-1], CondBranch)
+    assert fn.blocks[0].instructions[-1].then_label == "a"
+    assert isinstance(fn.blocks[1].instructions[-1], Branch)
 
 
 class TestParseErrors:
@@ -222,6 +225,33 @@ class TestParseErrors:
                 parse_module(text)
             assert (exc.value.line, exc.value.column) == (line, column)
 
+    @pytest.mark.parametrize("indices, bad", [("i64 0, i64 1", "1"), ("i64 7, i64 0.5", "7"),
+                                              ("i32 0, i32 0.5", "0.5")])
+    def test_getelementptr_indices_are_zero(self, indices, bad):
+        # `i64 0, i64 1` would point at the `0` of "r0", not at the string
+        src = FUZZ_BASE.replace("i32 0, i32 0", indices)
+        with pytest.raises(ParseError, match=re.escape(bad)) as exc:
+            parse_module(src)
+        line = src.splitlines()[exc.value.line - 1]
+        assert line.index(indices) + indices.index(bad) + 1 == exc.value.column
+
+    def test_a_second_attribute_group_with_one_id_is_an_error(self):
+        # it was ignored: the second #0 below carried the entry point, so the run found none
+        src = make_program("entry:\n  ret void", attrs='"other"',
+                           extra='attributes #0 = { "entry_point" }\n')
+        with pytest.raises(ParseError, match="duplicate attribute group #0") as exc:
+            parse_module(src)
+        assert (exc.value.line, exc.value.column) == (14, 12)
+
+    def test_a_second_metadata_node_with_one_id_is_an_error(self):
+        # it silently replaced the first
+        src = make_program("entry:\n  ret void") + (
+            '\n!llvm.module.flags = !{!0}\n!0 = !{i32 1, !"qir_major_version", i32 1}\n'
+            '!0 = !{i32 1, !"qir_major_version", i32 2}\n')
+        with pytest.raises(ParseError, match="duplicate metadata !0") as exc:
+            parse_module(src)
+        assert (exc.value.line, exc.value.column) == (18, 1)
+
     def test_a_local_value_is_defined_once_per_function(self):
         read = "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
         decls = "declare i1 @__quantum__qis__read_result__body(%Result*)"
@@ -255,7 +285,7 @@ class TestParseErrors:
     def test_a_module_flag_integer_fits_its_type(self):
         src = make_program("entry:\n  ret void")
         flags = '\n!llvm.module.flags = !{!0}\n!0 = !{i32 1, !"qir_major_version", i32 %s}\n'
-        assert parse_module(src + flags % "2147483647").module_flags[0].value == 2147483647
+        parse_module(src + flags % "2147483647")
         with pytest.raises(ParseError, match="i32 literal 2147483648 out of range") as exc:
             parse_module(src + flags % "2147483648")
         assert (exc.value.line, exc.value.column) == (17, 41)
@@ -307,7 +337,7 @@ class TestRoundTrip:
                              ids=["teleport", "qpe", "teleport-labelled", "escaped-label"])
     def test_parse_print_parse_fixpoint(self, source):
         module = parse_module(source)
-        assert parse_module(render_module(module)) == module
+        assert same_records(parse_module(render_module(module)), module)
 
     def test_fixpoint_with_labels_and_ints(self):
         src = make_program(
@@ -328,4 +358,4 @@ class TestRoundTrip:
         calls = module.functions[0].blocks[0].instructions
         assert calls[0].args[0] == Const("i64", 1)
         assert calls[2].args == (Const("i1", 1), Const("i32", -2))
-        assert parse_module(render_module(module)) == module
+        assert same_records(parse_module(render_module(module)), module)
