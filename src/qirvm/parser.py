@@ -8,6 +8,12 @@ the function definitions, each with its attribute group (see ir.py).
 Anything else (phi, switch, alloca, arithmetic, ...) is a hard
 ParseError rather than a silent skip.
 
+Tokens are read one at a time from a single regex pass; each carries
+only its source offset, which `_Parser.error` turns into line:column.
+As in LLVM, `name:` is one label token, and a block is a label (or the
+implicit `entry`) followed by instructions up to its terminator.  Each
+error names the first offending token in source order.
+
 Both typed-pointer (``%Qubit*``) and opaque-pointer (``ptr``) spellings
 are accepted and normalized to the same `Const` operands: a ``ptr``
 operand takes its kind from the callee's operand signature in the
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import re
 import struct
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
 from .ir import (
@@ -37,60 +43,37 @@ from .ir import (
 from .registry import Registry, default_registry
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 
+# One token per match, after any whitespace and comments.  `name:` is one
+# LABEL token, as in LLVM.  BAD catches a character no token starts with;
+# the parser reports it as unexpected when it reaches it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>[ \t\r]+)
-  | (?P<COMMENT>;[^\n]*)
-  | (?P<NL>\n)
-  | (?P<CSTRING>c"(?:[^"\\]|\\.)*")
-  | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<LOCAL>%[A-Za-z0-9._$\-]+)
-  | (?P<GLOBAL>@[A-Za-z0-9._$\-]+)
-  | (?P<ATTRID>\#[0-9]+)
-  | (?P<HEXNUM>0x[0-9A-Fa-f]+)
-  | (?P<NUMBER>-?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)
-  | (?P<IDENT>[A-Za-z_$.][A-Za-z0-9_$.]*)
-  | (?P<PUNCT>[()\[\]{},=*:!])
+    (?:[ \t\r\n]+|;[^\n]*)*
+    (?:
+      (?P<CSTRING>c"(?:[^"\\]|\\.)*")
+    | (?P<STRING>"(?:[^"\\]|\\.)*")
+    | (?P<LABEL>[A-Za-z0-9._$\-]+:)
+    | (?P<LOCAL>%[A-Za-z0-9._$\-]+)
+    | (?P<GLOBAL>@[A-Za-z0-9._$\-]+)
+    | (?P<ATTRID>\#[0-9]+)
+    | (?P<HEXNUM>0x[0-9A-Fa-f]+)
+    | (?P<NUMBER>-?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)
+    | (?P<IDENT>[A-Za-z_$.][A-Za-z0-9_$.]*)
+    | (?P<PUNCT>[()\[\]{},=*!])
+    | (?P<EOF>\Z)
+    | (?P<BAD>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
-
-
-def _tokenize(source: str) -> list:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "NL":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, text, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, 1))
-    return tokens
+class Token(NamedTuple):
+    kind: str
+    text: str
+    offset: int  # into the source; _Parser.error turns it into line:column
 
 
 # ---------------------------------------------------------------------------
@@ -109,40 +92,20 @@ def parse_double_literal(token: str) -> float:
     return float(token)
 
 
-_HEX_PAIR_RE = re.compile(r"[0-9A-Fa-f]{2}")
-
-
-def _decode_cstring(tok: Token) -> tuple:
-    """(text, byte count) of a c"..." token; the text drops one NUL terminator."""
-    first, *escaped = tok.text[2:-1].split("\\")
-    out = bytearray(first.encode())
-    for part in escaped:
-        if not _HEX_PAIR_RE.match(part):
-            raise ParseError(f"malformed escape \\{part[:2]} in string constant",
-                             tok.line, tok.column)
-        out.append(int(part[:2], 16))
-        out += part[2:].encode()
-    size = len(out)
-    if out and out[-1] == 0:
-        out = out[:-1]
-    try:
-        return out.decode(), size
-    except UnicodeDecodeError:
-        raise ParseError("string constant is not valid UTF-8", tok.line, tok.column) from None
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
+_HEX_PAIR_RE = re.compile(r"[0-9A-Fa-f]{2}")
 _POINTER_KINDS = {"Qubit": "qubit", "Result": "result"}
 _PTR_OPERAND_KINDS = ("qubit", "result", "label")
 
 
 class _Parser:
     def __init__(self, source: str, registry: Registry):
-        self.tokens = _tokenize(source)
+        self.source = source
+        self.matches = _TOKEN_RE.finditer(source)
+        self.tok = self._read()  # the next token, read one at a time
         self.registry = registry
-        self.pos = 0
         self.source_name = ""
         self.globals = {}  # name -> (text, byte count)
         self.functions = []  # (FunctionDef, its #N token or None); _finish adds attrs
@@ -153,28 +116,34 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def _read(self) -> Token:
+        m = next(self.matches)
+        kind = m.lastgroup
+        return Token(kind, m[kind], m.start(kind))
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "EOF":
-            self.pos += 1
+            self.tok = self._read()
         return tok
 
     def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        tok = tok or self.tok
+        if tok.kind == "BAD":  # no rule accepts one, whatever the rule expected
+            message = f"unexpected character {tok.text!r}"
+        line_start = self.source.rfind("\n", 0, tok.offset) + 1
+        raise ParseError(message, self.source.count("\n", 0, tok.offset) + 1,
+                         tok.offset - line_start + 1)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             self.error(f"expected {want!r}, found {tok.text!r}", tok)
         return self.next()
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == kind and (text is None or tok.text == text):
             return self.next()
         return None
@@ -196,8 +165,8 @@ class _Parser:
     # -- top level
 
     def parse(self) -> ProgramModule:
-        while self.peek().kind != "EOF":
-            tok = self.peek()
+        while self.tok.kind != "EOF":
+            tok = self.tok
             if tok.kind == "IDENT" and tok.text == "source_filename":
                 self.next()
                 self.expect("PUNCT", "=")
@@ -230,16 +199,33 @@ class _Parser:
         if name in self.globals:
             self.error(f"duplicate global @{name}", name_tok)
         self.expect("PUNCT", "=")
-        while self.peek().kind == "IDENT" and self.peek().text != "constant":
+        while self.tok.kind == "IDENT" and self.tok.text != "constant":
             self.next()  # linkage / unnamed_addr qualifiers
         self.expect("IDENT", "constant")
         array_type = self._parse_array_type()
-        payload, size = _decode_cstring(self.expect("CSTRING"))
+        payload, size = self._decode_cstring(self.expect("CSTRING"))
         self._check_array_size(array_type, size)
         if self.accept("PUNCT", ","):
             self.expect("IDENT", "align")
             self.expect("NUMBER")
         self.globals[name] = payload, size
+
+    def _decode_cstring(self, tok: Token) -> tuple:
+        """(text, byte count) of a c"..." token; the text drops one NUL terminator."""
+        first, *escaped = tok.text[2:-1].split("\\")
+        out = bytearray(first.encode())
+        for part in escaped:
+            if not _HEX_PAIR_RE.match(part):
+                self.error(f"malformed escape \\{part[:2]} in string constant", tok)
+            out.append(int(part[:2], 16))
+            out += part[2:].encode()
+        size = len(out)
+        if out and out[-1] == 0:
+            out = out[:-1]
+        try:
+            return out.decode(), size
+        except UnicodeDecodeError:
+            self.error("string constant is not valid UTF-8", tok)
 
     def _parse_array_type(self) -> tuple:
         """An `[N x i8]` type as (its `[` token, N)."""
@@ -259,7 +245,7 @@ class _Parser:
 
     def _parse_type(self) -> str:
         """Returns a kind: qubit/result/label/i64/i32/i1/double/void/ptr."""
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "LOCAL":
             self.next()
             name = tok.text[1:]
@@ -284,15 +270,15 @@ class _Parser:
 
     def _parse_declare(self):
         self.expect("IDENT", "declare")
-        ret = self._parse_type()
-        if ret not in ("void", "i1"):
-            self.error(f"unsupported declaration return type {ret!r}")
+        tok = self.tok
+        if self._parse_type() not in ("void", "i1"):
+            self.error("a declaration must return void or i1", tok)
         name = self.expect("GLOBAL").text[1:]
         self.expect("PUNCT", "(")
         if not self.accept("PUNCT", ")"):
             while True:
                 self._parse_type()
-                while self.peek().kind == "IDENT" and self.peek().text in self._PARAM_ATTRS:
+                while self.tok.kind == "IDENT" and self.tok.text in self._PARAM_ATTRS:
                     self.next()
                 if self.accept("PUNCT", ")"):
                     break
@@ -316,7 +302,7 @@ class _Parser:
         self.expect("PUNCT", "{")
         bare, kv = set(), []
         while not self.accept("PUNCT", "}"):
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "STRING":
                 key = self.next().text[1:-1]
                 if self.accept("PUNCT", "="):
@@ -356,13 +342,13 @@ class _Parser:
             self.expect("PUNCT", "!")
             self.expect("STRING")  # key
             self.expect("PUNCT", ",")
-            ty = self.expect("IDENT").text
-            if ty == "i1":
+            ty = self.expect("IDENT")
+            if ty.text == "i1":
                 self._parse_bool()
-            elif ty in ("i32", "i64"):
-                self.expect_int(ty)
+            elif ty.text in ("i32", "i64"):
+                self.expect_int(ty.text)
             else:
-                self.error(f"unsupported module-flag value type {ty!r}")
+                self.error(f"unsupported module-flag value type {ty.text!r}", ty)
             self.expect("PUNCT", "}")
         else:
             self.error(f"unsupported metadata {tok.text!r}", tok)
@@ -371,9 +357,9 @@ class _Parser:
 
     def _parse_define(self) -> tuple:
         self.expect("IDENT", "define")
-        ret = self._parse_type()
-        if ret != "void":
-            self.error("entry functions must return void")
+        tok = self.tok
+        if self._parse_type() != "void":
+            self.error("entry functions must return void", tok)
         name_tok = self.expect("GLOBAL")
         name = name_tok.text[1:]
         if any(f.name == name for f, _ in self.functions):
@@ -383,62 +369,49 @@ class _Parser:
         attr_ref = self._parse_attr_ref(name)
         self.expect("PUNCT", "{")
 
-        blocks = []
-        label, instructions = None, []
-        first = True
-        defined = set()  # the function's local values: LLVM defines each once
-        while not self.accept("PUNCT", "}"):
-            tok = self.peek()
-            if tok.kind == "EOF":
-                self.error("unexpected end of input inside function body", tok)
-            if (tok.kind in ("IDENT", "NUMBER")) and self.peek(1).text == ":" and self.peek(1).kind == "PUNCT":
-                if not first:
-                    blocks.append(self._close_block(label, instructions, name_tok))
-                label, instructions = tok.text, []
-                first = False
-                self.next()
-                self.next()
-                continue
-            if first:
-                # unlabeled first block gets LLVM's implicit name
-                label, first = "entry", False
-            instructions.append(self._parse_instruction(defined))
-        blocks.append(self._close_block(label, instructions, name_tok))
-
-        labels = [b.label for b in blocks]
-        if len(set(labels)) != len(labels):
-            self.error(f"duplicate block label in @{name}", name_tok)
-        for b in blocks:
-            term = b.instructions[-1]
-            targets = []
-            if isinstance(term, Branch):
-                targets = [term.target_label]
-            elif isinstance(term, CondBranch):
-                targets = [term.then_label, term.else_label]
-            for t in targets:
-                if t not in labels:
-                    self.error(f"branch to unknown label %{t} in @{name}", name_tok)
+        self.defined = set()  # local values: LLVM defines each once per function
+        self.targets = []  # branch-target tokens, checked once every label is known
+        blocks, labels = [], set()
+        while True:
+            tok = self.accept("LABEL")
+            if tok is not None:
+                label = tok.text[:-1]
+                if label in labels:
+                    self.error(f"duplicate block label %{label}", tok)
+            elif not blocks:
+                label = "entry"  # unlabeled first block gets LLVM's implicit name
+            elif self.accept("PUNCT", "}"):
+                break
+            else:
+                self.error(f"expected a label or '}}' after the terminator of block "
+                           f"%{label}, found {self.tok.text!r}")
+            labels.add(label)
+            blocks.append(self._parse_block(label))
+        for tok in self.targets:
+            if tok.text[1:] not in labels:
+                self.error(f"branch to unknown label {tok.text}", tok)
         return FunctionDef(name, tuple(blocks)), attr_ref
 
-    def _close_block(self, label, instructions, where) -> BasicBlock:
-        if label is None or not instructions:
-            self.error("empty basic block", where)
-        for ins in instructions[:-1]:
-            if isinstance(ins, TERMINATORS):
-                self.error(f"terminator before end of block %{label}", where)
-        if not isinstance(instructions[-1], TERMINATORS):
-            self.error(f"block %{label} does not end in a terminator", where)
+    def _parse_block(self, label: str) -> BasicBlock:
+        """The instructions after a block's label, up to its terminator."""
+        instructions = []
+        while not instructions or not isinstance(instructions[-1], TERMINATORS):
+            tok = self.tok
+            if tok.kind in ("LABEL", "EOF") or tok.text == "}":
+                problem = "does not end in a terminator" if instructions else "is empty"
+                self.error(f"block %{label} {problem}", tok)
+            instructions.append(self._parse_instruction())
         return BasicBlock(label, tuple(instructions))
 
-    def _parse_instruction(self, defined: set):
-        tok = self.peek()
+    def _parse_instruction(self):
+        tok = self.tok
         if tok.kind == "LOCAL":
             var = self.next().text
-            if var in defined:
+            if var in self.defined:
                 self.error(f"multiple definition of local value {var}", tok)
-            defined.add(var)
+            self.defined.add(var)
             self.expect("PUNCT", "=")
-            op = self.peek()
+            op = self.tok
             if op.kind != "IDENT" or op.text != "call":
                 self.error(f"unsupported instruction {op.text!r}", op)
             return self._parse_call(result_var=var)
@@ -457,11 +430,12 @@ class _Parser:
     def _parse_call(self, result_var) -> Call:
         self.accept("IDENT", "tail")
         self.expect("IDENT", "call")
+        tok = self.tok
         ret = self._parse_type()
         if result_var is not None and ret != "i1":
-            self.error("only i1-returning calls may bind a result")
+            self.error("only i1-returning calls may bind a result", tok)
         if result_var is None and ret != "void":
-            self.error("non-void call result must be bound")
+            self.error("non-void call result must be bound", tok)
         callee = self.expect("GLOBAL").text[1:]
         self.expect("PUNCT", "(")
         args = []
@@ -475,17 +449,21 @@ class _Parser:
 
     def _parse_branch(self):
         self.expect("IDENT", "br")
-        if self.accept("IDENT", "label"):
-            return Branch(self.expect("LOCAL").text[1:])
+        if self.tok.text == "label":
+            return Branch(self._parse_target())
         self.expect("IDENT", "i1")
         cond = self._parse_i1()
         self.expect("PUNCT", ",")
-        self.expect("IDENT", "label")
-        then_label = self.expect("LOCAL").text[1:]
+        then_label = self._parse_target()
         self.expect("PUNCT", ",")
+        return CondBranch(cond, then_label, self._parse_target())
+
+    def _parse_target(self) -> str:
+        """`label %name`; _parse_define checks that the function defines it."""
         self.expect("IDENT", "label")
-        else_label = self.expect("LOCAL").text[1:]
-        return CondBranch(cond, then_label, else_label)
+        tok = self.expect("LOCAL")
+        self.targets.append(tok)
+        return tok.text[1:]
 
     # -- operands
 
@@ -502,24 +480,25 @@ class _Parser:
         return kind if kind in _PTR_OPERAND_KINDS else None
 
     def _parse_operand(self, callee: str, index: int):
-        kind = self._parse_type()
+        type_tok = self.tok
+        kind = spelled = self._parse_type()
         if kind == "ptr":
             # an untyped pointer stays a qubit, which validation then reports
             kind = self._ptr_kind(callee, index) or "qubit"
-        tok = self.peek()
+        tok = self.tok
 
         if kind in ("qubit", "result"):
             if self.accept("IDENT", "null"):
                 return Const(kind, 0)
             if self.accept("IDENT", "inttoptr"):
-                return Const(kind, self._parse_inttoptr(tok))
+                return Const(kind, self._parse_inttoptr(spelled))
             self.error(f"expected null or inttoptr, found {tok.text!r}", tok)
 
         if kind == "label":
             if self.accept("IDENT", "null"):
                 return Const(kind, None)
             if self.accept("IDENT", "getelementptr"):
-                return Const(kind, self._parse_gep(tok))
+                return Const(kind, self._parse_gep())
             if tok.kind == "GLOBAL":
                 return Const(kind, self._lookup_global(self.next())[0])
             self.error(f"expected a label constant, found {tok.text!r}", tok)
@@ -539,37 +518,36 @@ class _Parser:
                     self.error(str(exc), tok)
             self.error(f"expected a double literal, found {tok.text!r}", tok)
 
-        self.error(f"unsupported argument type {kind!r}", tok)
+        self.error(f"unsupported argument type {type_tok.text!r}", type_tok)
 
     def _parse_bool(self) -> bool:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "IDENT" or tok.text not in ("true", "false"):
             self.error(f"expected 'true' or 'false', found {tok.text!r}", tok)
         return self.next().text == "true"
 
     def _parse_i1(self):
         """An i1 operand: an SSA name or a `true`/`false` constant."""
-        if self.peek().kind == "LOCAL":
+        if self.tok.kind == "LOCAL":
             return BoolVar(self.next().text)
         return Const("i1", int(self._parse_bool()))
 
-    def _parse_inttoptr(self, tok) -> int:
+    def _parse_inttoptr(self, spelled: str) -> int:
+        """`(i64 N to T)`, where T is spelled as the operand's type is."""
         self.expect("PUNCT", "(")
         self.expect("IDENT", "i64")
+        tok = self.tok
         value = self.expect_int("i64")
         if value < 0:
             self.error("negative qubit/result index", tok)
         self.expect("IDENT", "to")
-        # target type: %Qubit* / %Result* / ptr
-        if self.peek().kind == "LOCAL":
-            self.next()
-            self.expect("PUNCT", "*")
-        else:
-            self.expect("IDENT", "ptr")
+        tok = self.tok
+        if self._parse_type() != spelled:
+            self.error("inttoptr target type differs from the operand type", tok)
         self.expect("PUNCT", ")")
         return value
 
-    def _parse_gep(self, tok) -> str:
+    def _parse_gep(self) -> str:
         """`([N x i8], [N x i8]* @g, i32 0, i32 0)`; the base may be `ptr @g`
         and the indices i64."""
         self.accept("IDENT", "inbounds")

@@ -212,6 +212,11 @@ class TestParseErrors:
         flags = '\n!llvm.module.flags = !{!0, !3}\n!0 = !{i32 1, !"qir_major_version", i32 1}\n'
         bad_flag = '\n!llvm.module.flags = !{!0}\n!0 = !{i32 1, !"dynamic_qubit_management", i1 banana}\n'
         two_globals = '@0 = internal constant [3 x i8] c"r0\\00"\n@0 = internal constant [3 x i8] c"zz\\00"\n'
+
+        def cast(target):
+            call = f"  call void @__quantum__qis__h__body(%Qubit* inttoptr (i64 1 to {target}))"
+            return make_program(f"entry:\n{call}\n  ret void")
+
         cases = [
             (src.replace("#0 {", "#7 {"), 6, 21, "#7"),
             (src + flags, 16, 28, "!3"),
@@ -219,9 +224,30 @@ class TestParseErrors:
             (src.replace("\n\ndefine", "\n" + two_globals + "\ndefine"), 6, 1,
              "duplicate global @0"),
             (src + bad_flag, 17, 47, "banana"),
+            # a raw newline inside a string constant starts a new line
+            (src.replace("\n\ndefine", '\n@0 = internal constant [4 x i8] c"a\nb\\00" oops\n'
+                         '\ndefine'), 6, 7, "unsupported top-level construct 'oops'"),
+            # a block ends at its terminator
+            (make_program("entry:\n  call void @__quantum__qis__h__body(%Qubit* null)"), 9, 1,
+             "block %entry does not end in a terminator"),
+            (make_program("entry:\n  br label %a\na:\nb:\n  ret void"), 10, 1,
+             "block %a is empty"),
+            (make_program(""), 8, 1, "block %entry is empty"),
+            (make_program("entry:\n  ret void\n  ret void"), 9, 3,
+             "expected a label or '}' after the terminator of block %entry, found 'ret'"),
+            (make_program("entry:\n  br label %a\na:\n  ret void\na:\n  ret void"), 11, 1,
+             "duplicate block label %a"),
+            (make_program("entry:\n  br label %nowhere"), 8, 12,
+             "branch to unknown label %nowhere"),
+            # `name:` is one token, as in LLVM
+            (make_program("entry :\n  ret void"), 7, 1, "unsupported instruction 'entry'"),
+            # an inttoptr cast targets its operand's own type
+            (cast("%Result*"), 8, 65, "inttoptr target type differs from the operand type"),
+            (cast("ptr"), 8, 65, "inttoptr target type differs from the operand type"),
+            (cast("%Foo*"), 8, 65, "unknown pointer type %Foo*"),
         ]
         for text, line, column, what in cases:
-            with pytest.raises(ParseError, match=what) as exc:
+            with pytest.raises(ParseError, match=re.escape(what)) as exc:
                 parse_module(text)
             assert (exc.value.line, exc.value.column) == (line, column)
 

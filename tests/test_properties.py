@@ -1,5 +1,6 @@
 """Property-based checks over parsing, aggregation, sampling and the CLI."""
 
+import ast
 import os
 import re
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qirvm import ShotRecorder, aggregate, emit_json, parse_module
+from qirvm import ParseError, ShotRecorder, aggregate, emit_json, parse_module
 from qirvm.cli import main
 from qirvm.parser import parse_double_literal
 
@@ -103,14 +104,18 @@ FUZZ_BASE = re.sub(r";[^\n]*", "", TELEPORT_LL).replace(
 # Whitespace, strings, words with their sigil, or single characters: joined
 # back together they give the source unchanged.
 PIECE_RE = re.compile(r'\s+|c?"[^"\n]*"|[%@!#]?[\w.$\-]+|\S')
-# No block label is among them, so no mutation can make a loop.
 INSERTS = [
     "ptr", "null", "i64", "i32", "i1", "i8*", "double", "void", "0", "1", "2", "7", "-1", "0.5",
     "true", "false", "0x3FF0000000000000", "inttoptr", "to", "(", ")", ",", "*", "%0", "%Qubit*",
     "%Result*", "#7", "!9", "@0", "@__quantum__rt__initialize", "@__quantum__qis__mz__body",
     "@__quantum__qis__cnot__body", "@__quantum__qis__read_result__body", "@__quantum__qis__nop__body",
+    '"', ":", 'c"a\nb"', "then:",
 ]
 EXIT_CODES = {0, 64, 65, 66, 70, 73, 78}
+# A parse error that quotes the token it stopped at, e.g. "found 'X'"
+QUOTED_TOKEN_RE = re.compile(
+    r"(?:found|character|instruction|construct|metadata|token|type|literal) "
+    r"('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")")
 
 
 @st.composite
@@ -145,3 +150,13 @@ def test_cli_ends_every_mutated_program_in_an_exit_code(source):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(source)
         assert main(["run", path, "--shots", "4", "--output", out]) in EXIT_CODES
+    # a quoted token is the one at the error's line:column
+    try:
+        parse_module(source)
+    except ParseError as exc:
+        quoted = QUOTED_TOKEN_RE.search(str(exc))
+        if quoted:
+            lines = source.split("\n")
+            assert exc.column <= len(lines[exc.line - 1]) + 1, str(exc)
+            offset = sum(len(line) + 1 for line in lines[:exc.line - 1]) + exc.column - 1
+            assert source.startswith(ast.literal_eval(quoted[1]), offset), str(exc)
