@@ -50,8 +50,10 @@ def _count_from_group(group, keys) -> Optional[int]:
     for key in keys:
         value = group.get(key)
         if value is not None:
-            if not (value.isascii() and value.isdigit()):
-                raise EntryPointError(f"{key} must be a non-negative integer, got {value!r}")
+            # past 20 digits a count fits no 64 bits, and int() may refuse it
+            if not (value.isascii() and value.isdigit() and len(value) <= 20):
+                raise EntryPointError(f"{key} must be a non-negative integer of at most "
+                                      f"20 digits, got {value[:80]!r}")
             return int(value)
     return None
 

@@ -121,8 +121,9 @@ class StatevectorBackend:
             self.fixed[qubit] = 0
 
 
-# A controlled gate applies its base gate to the target's slices where every
-# control is 1; swap applies X to the |10> and |01> slices.
+# What the paired gates do, stated here alone: a controlled gate applies its
+# base gate to the target's slices where every control is 1; swap applies X
+# to the |10> and |01> slices.
 _PAIRED = {GateId.CNOT: GateId.X, GateId.CCNOT: GateId.X, GateId.CY: GateId.Y,
            GateId.CZ: GateId.Z, GateId.SWAP: GateId.X}
 

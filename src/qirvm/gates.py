@@ -1,15 +1,17 @@
-"""Unitary matrices for the supported gate set.
+"""Unitary matrices of the gates the statevector kernels apply.
 
-Convention: a k-qubit matrix is indexed by bits (t0 t1 ... t_{k-1}) with
-targets[0] as the most significant bit, so controlled gates take their
-controls first (CNOT = [[I,0],[0,X]] with the control as bit 0).
+A k-qubit matrix is indexed by bits (t0 t1 ... t_{k-1}) with targets[0]
+as the most significant bit.  cnot, ccnot, cy, cz and swap have no matrix
+here: `backends._PAIRED` names the 2x2 gate each applies to a pair of
+slices.  The tests build their full matrices, controls first, as an
+oracle (`full_matrix` in tests/conftest.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .registry import GATE_SHAPES, GateId
+from .registry import GateId
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -24,16 +26,6 @@ _FIXED = {
     GateId.TDG: np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=complex),
     # principal square root of Y
     GateId.SY: 0.5 * np.array([[1 + 1j, -1 - 1j], [1 + 1j, 1 + 1j]], dtype=complex),
-    GateId.SWAP: np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-    GateId.CNOT: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    GateId.CY: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]], dtype=complex
-    ),
-    GateId.CZ: np.diag([1, 1, 1, -1]).astype(complex),
 }
 
 def _rx(theta: float) -> np.ndarray:
@@ -56,12 +48,6 @@ def _rzz(theta: float) -> np.ndarray:
     return np.array([[a, 0, 0, 0], [0, b, 0, 0], [0, 0, b, 0], [0, 0, 0, a]], dtype=complex)
 
 
-def _toffoli() -> np.ndarray:
-    m = np.eye(8, dtype=complex)
-    m[[6, 7]] = m[[7, 6]]
-    return m
-
-
 def _xx_fixed() -> np.ndarray:
     # exp(-i (pi/4) X(x)X), the maximally entangling Ising/MS convention
     xkron = np.kron(_FIXED[GateId.X], _FIXED[GateId.X])
@@ -70,7 +56,6 @@ def _xx_fixed() -> np.ndarray:
 
 _FIXED[GateId.ZZ] = _rzz(np.pi / 2)
 _FIXED[GateId.XX] = _xx_fixed()
-_FIXED[GateId.CCNOT] = _toffoli()
 for _matrix in _FIXED.values():
     _matrix.setflags(write=False)  # shared by every caller
 
@@ -78,15 +63,10 @@ _ROTATIONS = {GateId.RX: _rx, GateId.RY: _ry, GateId.RZ: _rz, GateId.RZZ: _rzz}
 
 
 def gate_matrix(gate_id: GateId, params=()) -> np.ndarray:
-    """Return the unitary for a gate; parameterized angles are radians.
+    """Return the unitary of a one-qubit gate, rzz, zz or xx; angles are radians.
 
-    Fixed gates return one shared read-only array; rotations a new one.
+    compile_program has checked the gate and its parameter count.  Fixed
+    gates return one shared read-only array, rotations a new one; any other
+    gate raises KeyError.
     """
-    if gate_id not in GATE_SHAPES:
-        raise ValueError(f"unknown gate {gate_id!r}")
-    expected = GATE_SHAPES[gate_id][0]
-    if len(params) != expected:
-        raise ValueError(f"{gate_id.name} takes {expected} parameter(s), got {len(params)}")
-    if expected:
-        return _ROTATIONS[gate_id](params[0])
-    return _FIXED[gate_id]
+    return _ROTATIONS[gate_id](*params) if params else _FIXED[gate_id]

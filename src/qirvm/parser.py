@@ -75,6 +75,11 @@ class Token(NamedTuple):
     text: str
     offset: int  # into the source; _Parser.error turns it into line:column
 
+    @property
+    def quoted(self) -> str:
+        """The text as an error quotes it: its first line, at most 80 characters."""
+        return repr(self.text.partition("\n")[0][:80])
+
 
 # ---------------------------------------------------------------------------
 # Literal helpers
@@ -108,11 +113,11 @@ class _Parser:
         self.registry = registry
         self.source_name = ""
         self.globals = {}  # name -> (text, byte count)
-        self.functions = []  # (FunctionDef, its #N token or None); _finish adds attrs
+        self.functions = []  # (FunctionDef, its group id N or None); _finish adds attrs
         self.attr_groups = {}  # group id -> AttrGroup
         self.metadata_ids = set()  # the defined !N nodes
         self.module_flag_refs = []  # (node id, token)
-        self.attr_refs = []  # (function name, #N token)
+        self.attr_refs = []  # (function name, N, #N token)
 
     # -- token plumbing
 
@@ -130,7 +135,7 @@ class _Parser:
     def error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.tok
         if tok.kind == "BAD":  # no rule accepts one, whatever the rule expected
-            message = f"unexpected character {tok.text!r}"
+            message = f"unexpected character {tok.quoted}"
         line_start = self.source.rfind("\n", 0, tok.offset) + 1
         raise ParseError(message, self.source.count("\n", 0, tok.offset) + 1,
                          tok.offset - line_start + 1)
@@ -139,7 +144,7 @@ class _Parser:
         tok = self.tok
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {tok.text!r}", tok)
+            self.error(f"expected {want!r}, found {tok.quoted}", tok)
         return self.next()
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -148,19 +153,24 @@ class _Parser:
             return self.next()
         return None
 
-    def integer(self, tok: Token) -> int:
+    def integer(self, tok: Token, kind: Optional[str] = None) -> int:
+        """An integer literal that fits its type `kind` (i32 or i64) or, untyped,
+        64 bits.  None of those has more than 20 digits, so a longer literal
+        is out of range before int() reads it, which may refuse 4,300 digits.
+        """
         if "." in tok.text:
-            self.error(f"expected an integer, found {tok.text!r}", tok)
+            self.error(f"expected an integer, found {tok.quoted}", tok)
+        bound = 1 << int(kind[1:]) - 1 if kind else 1 << 64
+        if len(tok.text.lstrip("-")) > 20 or not -bound <= int(tok.text) < bound:
+            self.error(f"{kind or 'integer'} literal {tok.text[:80]} out of range", tok)
         return int(tok.text)
 
     def expect_int(self, kind: Optional[str] = None) -> int:
-        """An integer literal; one of type `kind` (i32 or i64), if given, must fit it."""
-        tok = self.expect("NUMBER")
-        value = self.integer(tok)
-        bound = 1 << int(kind[1:]) - 1 if kind else None
-        if bound and not -bound <= value < bound:
-            self.error(f"{kind} literal {value} out of range", tok)
-        return value
+        return self.integer(self.expect("NUMBER"), kind)
+
+    def attr_id(self, tok: Token) -> int:
+        """The N of a `#N` token."""
+        return self.integer(tok._replace(text=tok.text[1:]))
 
     # -- top level
 
@@ -184,7 +194,7 @@ class _Parser:
             elif tok.kind == "PUNCT" and tok.text == "!":
                 self._parse_metadata()
             else:
-                self.error(f"unsupported top-level construct {tok.text!r}", tok)
+                self.error(f"unsupported top-level construct {tok.quoted}", tok)
         return self._finish()
 
     def _parse_type_def(self):
@@ -262,7 +272,7 @@ class _Parser:
                 self.next()
                 self.expect("PUNCT", "*")
                 return "label"
-        self.error(f"expected a type, found {tok.text!r}", tok)
+        self.error(f"expected a type, found {tok.quoted}", tok)
 
     # -- declarations and attribute groups
 
@@ -285,17 +295,19 @@ class _Parser:
                 self.expect("PUNCT", ",")
         self._parse_attr_ref(name)
 
-    def _parse_attr_ref(self, name: str) -> Optional[Token]:
-        """An optional `#N` after a signature; _finish resolves group N."""
+    def _parse_attr_ref(self, name: str) -> Optional[int]:
+        """An optional `#N` after a signature, as N; _finish resolves group N."""
         tok = self.accept("ATTRID")
-        if tok is not None:
-            self.attr_refs.append((name, tok))
-        return tok
+        if tok is None:
+            return None
+        gid = self.attr_id(tok)
+        self.attr_refs.append((name, gid, tok))
+        return gid
 
     def _parse_attr_group(self):
         self.expect("IDENT", "attributes")
         gid_tok = self.expect("ATTRID")
-        gid = int(gid_tok.text[1:])
+        gid = self.attr_id(gid_tok)
         if gid in self.attr_groups:
             self.error(f"duplicate attribute group {gid_tok.text}", gid_tok)
         self.expect("PUNCT", "=")
@@ -312,7 +324,7 @@ class _Parser:
             elif tok.kind == "IDENT":
                 bare.add(self.next().text)  # e.g. "irreversible" spelled bare
             else:
-                self.error(f"unexpected token {tok.text!r} in attribute group", tok)
+                self.error(f"unexpected token {tok.quoted} in attribute group", tok)
         self.attr_groups[gid] = AttrGroup(frozenset(bare), tuple(kv))
 
     # -- metadata / module flags
@@ -348,10 +360,10 @@ class _Parser:
             elif ty.text in ("i32", "i64"):
                 self.expect_int(ty.text)
             else:
-                self.error(f"unsupported module-flag value type {ty.text!r}", ty)
+                self.error(f"unsupported module-flag value type {ty.quoted}", ty)
             self.expect("PUNCT", "}")
         else:
-            self.error(f"unsupported metadata {tok.text!r}", tok)
+            self.error(f"unsupported metadata {tok.quoted}", tok)
 
     # -- function bodies
 
@@ -384,7 +396,7 @@ class _Parser:
                 break
             else:
                 self.error(f"expected a label or '}}' after the terminator of block "
-                           f"%{label}, found {self.tok.text!r}")
+                           f"%{label}, found {self.tok.quoted}")
             labels.add(label)
             blocks.append(self._parse_block(label))
         for tok in self.targets:
@@ -413,10 +425,10 @@ class _Parser:
             self.expect("PUNCT", "=")
             op = self.tok
             if op.kind != "IDENT" or op.text != "call":
-                self.error(f"unsupported instruction {op.text!r}", op)
+                self.error(f"unsupported instruction {op.quoted}", op)
             return self._parse_call(result_var=var)
         if tok.kind != "IDENT":
-            self.error(f"expected an instruction, found {tok.text!r}", tok)
+            self.error(f"expected an instruction, found {tok.quoted}", tok)
         if tok.text == "call" or tok.text == "tail":
             return self._parse_call(result_var=None)
         if tok.text == "br":
@@ -425,7 +437,7 @@ class _Parser:
             self.next()
             self.expect("IDENT", "void")
             return ReturnVoid()
-        self.error(f"unsupported instruction {tok.text!r}", tok)
+        self.error(f"unsupported instruction {tok.quoted}", tok)
 
     def _parse_call(self, result_var) -> Call:
         self.accept("IDENT", "tail")
@@ -492,7 +504,7 @@ class _Parser:
                 return Const(kind, 0)
             if self.accept("IDENT", "inttoptr"):
                 return Const(kind, self._parse_inttoptr(spelled))
-            self.error(f"expected null or inttoptr, found {tok.text!r}", tok)
+            self.error(f"expected null or inttoptr, found {tok.quoted}", tok)
 
         if kind == "label":
             if self.accept("IDENT", "null"):
@@ -501,7 +513,7 @@ class _Parser:
                 return Const(kind, self._parse_gep())
             if tok.kind == "GLOBAL":
                 return Const(kind, self._lookup_global(self.next())[0])
-            self.error(f"expected a label constant, found {tok.text!r}", tok)
+            self.error(f"expected a label constant, found {tok.quoted}", tok)
 
         if kind in ("i64", "i32"):
             return Const(kind, self.expect_int(kind))
@@ -516,14 +528,14 @@ class _Parser:
                     return Const(kind, parse_double_literal(tok.text))
                 except ParseError as exc:
                     self.error(str(exc), tok)
-            self.error(f"expected a double literal, found {tok.text!r}", tok)
+            self.error(f"expected a double literal, found {tok.quoted}", tok)
 
-        self.error(f"unsupported argument type {type_tok.text!r}", type_tok)
+        self.error(f"unsupported argument type {type_tok.quoted}", type_tok)
 
     def _parse_bool(self) -> bool:
         tok = self.tok
         if tok.kind != "IDENT" or tok.text not in ("true", "false"):
-            self.error(f"expected 'true' or 'false', found {tok.text!r}", tok)
+            self.error(f"expected 'true' or 'false', found {tok.quoted}", tok)
         return self.next().text == "true"
 
     def _parse_i1(self):
@@ -564,7 +576,7 @@ class _Parser:
             self.expect("PUNCT", ",")
             index_type = self.expect("IDENT")
             if index_type.text not in ("i32", "i64"):
-                self.error(f"expected 'i32' or 'i64', found {index_type.text!r}", index_type)
+                self.error(f"expected 'i32' or 'i64', found {index_type.quoted}", index_type)
             index = self.expect("NUMBER")
             if self.integer(index) != 0:
                 self.error(f"getelementptr index must be 0, found {index.text}", index)
@@ -581,15 +593,15 @@ class _Parser:
     # -- module assembly
 
     def _finish(self) -> ProgramModule:
-        for name, tok in self.attr_refs:
-            if int(tok.text[1:]) not in self.attr_groups:
+        for name, gid, tok in self.attr_refs:
+            if gid not in self.attr_groups:
                 self.error(f"@{name} references unknown attribute group {tok.text}", tok)
         for ref, tok in self.module_flag_refs:
             if ref not in self.metadata_ids:
                 self.error(f"module flag references unknown metadata !{ref}", tok)
         functions = tuple(
-            fn._replace(attrs=self.attr_groups[int(tok.text[1:])]) if tok else fn
-            for fn, tok in self.functions
+            fn._replace(attrs=self.attr_groups[gid]) if gid is not None else fn
+            for fn, gid in self.functions
         )
         return ProgramModule(self.source_name, functions)
 

@@ -7,9 +7,9 @@ with custom operations, then frozen and shared across shot executors.
 An OpSpec is a kind and, for a gate, a GateId; everything else about it
 is derived.  It is the one place that states an operation's operand
 signature (`OpSpec.operands`, from GATE_SHAPES for gates): the parser types
-opaque `ptr` operands by it, the validator checks every call against it,
-and the gate layer and backends take gate arity from GATE_SHAPES.  A name
-the registry does not hold resolves to None.
+opaque `ptr` operands by it, and the validator checks every call against
+it, so the gate layer and backends need not.  A name the registry does not
+hold resolves to None.
 """
 
 from __future__ import annotations

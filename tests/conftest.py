@@ -4,8 +4,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from qirvm import RunResult, default_registry, find_entry, parse_module
+from qirvm import GateId, RunResult, default_registry, find_entry, gate_matrix, parse_module
 from qirvm.recorder import JSON_SCHEMA_ID
+from qirvm.registry import GATE_SHAPES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -92,6 +93,28 @@ def parse_json(text: str) -> RunResult:
         labels=tuple(doc["labels"]) if doc["labels"] is not None else None,
         per_shot=tuple(doc["per_shot"]) if doc["per_shot"] is not None else None,
     )
+
+
+_CONTROLLED = {GateId.CNOT: GateId.X, GateId.CCNOT: GateId.X, GateId.CY: GateId.Y,
+               GateId.CZ: GateId.Z}
+
+
+def full_matrix(gate: GateId, params=()) -> np.ndarray:
+    """The unitary of any gate, as the tests' oracle.
+
+    `targets[0]` is the most significant bit of the matrix index, so a
+    controlled gate takes its controls first: it is the identity whose last
+    2x2 block is gate_matrix of its base gate (cnot = diag(I, X)).  swap is
+    the permutation [0, 2, 1, 3] of the 4x4 identity.  Every other gate
+    comes from gate_matrix, which holds only the gates a kernel applies.
+    """
+    if gate is GateId.SWAP:
+        return np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    if gate in _CONTROLLED:
+        matrix = np.eye(2 ** GATE_SHAPES[gate][1], dtype=complex)
+        matrix[-2:, -2:] = gate_matrix(_CONTROLLED[gate])
+        return matrix
+    return gate_matrix(gate, params)
 
 
 def allocating_apply(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from conftest import (
     QPE_LL,
     TELEPORT_CALLS,
     TELEPORT_LL,
+    full_matrix,
     make_program,
     qpe_reference_distribution,
 )
@@ -109,13 +110,13 @@ def test_criterion_4_gate_properties():
     with timed(1.0) as t:
         for gate_id in GateId:
             params = (0.7,) if gate_id in (GateId.RX, GateId.RY, GateId.RZ, GateId.RZZ) else ()
-            u = gate_matrix(gate_id, params)
+            u = full_matrix(gate_id, params)
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
         for a, b in [(GateId.S, GateId.SDG), (GateId.T, GateId.TDG)]:
             assert np.max(np.abs(gate_matrix(a) @ gate_matrix(b) - np.eye(2))) < 1e-12
         sy = gate_matrix(GateId.SY)
         assert np.max(np.abs(sy @ sy - gate_matrix(GateId.Y))) < 1e-12
-        cnot = gate_matrix(GateId.CNOT)
+        cnot = full_matrix(GateId.CNOT)
         for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
             composed = cnot @ np.kron(np.eye(2), gate_matrix(GateId.RZ, (theta,))) @ cnot
             assert np.max(np.abs(gate_matrix(GateId.RZZ, (theta,)) - composed)) < 1e-12
@@ -133,7 +134,7 @@ def test_criterion_5_oracle_equivalence():
             psi[0] = 1.0
             for g, params, targets in random_gate_sequence(rng, n, 200):
                 backend.apply_gate(g, params, targets)
-                psi = embed_full(gate_matrix(g, params), targets, n) @ psi
+                psi = embed_full(full_matrix(g, params), targets, n) @ psi
                 assert abs(np.sum(np.abs(backend.amplitudes) ** 2) - 1.0) < 1e-10
             assert np.max(np.abs(backend.amplitudes - psi)) < 1e-9
     _report(5, f"(100 random programs, {t.elapsed:.1f} s)")

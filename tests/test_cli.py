@@ -186,7 +186,8 @@ RECORD_ARRAY = """\
   ret void"""
 
 
-@pytest.mark.parametrize("length", ["99999999999999999999999", "-9223372036854775809"])
+@pytest.mark.parametrize("length", ["99999999999999999999999", "-9223372036854775809",
+                                    pytest.param("9" * 5000, id="5000-digits")])
 def test_an_integer_literal_outside_its_type_is_a_parse_error(tmp_path, capsys, length):
     src = make_program(
         "entry:\n" + RECORD_ARRAY.format(length=length),
@@ -194,7 +195,7 @@ def test_an_integer_literal_outside_its_type_is_a_parse_error(tmp_path, capsys, 
     )
     assert main(["run", write(tmp_path, src)]) == EX_DATAERR
     assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'prog.ll'}: line 8:53: i64 literal {length} out of range\n")
+        f"error: {tmp_path / 'prog.ll'}: line 8:53: i64 literal {length[:80]} out of range\n")
 
 
 def test_a_negative_array_length_is_a_validation_error(tmp_path, capsys):
@@ -239,9 +240,11 @@ def test_negative_seed_is_usage_error(teleport_file, capsys):
 
 
 def test_non_integer_qubit_count_is_entry_error(tmp_path, capsys):
-    src = make_program("entry:\n  ret void", attrs='"entry_point" "num_required_qubits"="three"')
-    assert main(["run", write(tmp_path, src)]) == EX_CONFIG
-    assert "num_required_qubits" in capsys.readouterr().err
+    for count in "three", "9" * 5000:
+        src = make_program("entry:\n  ret void",
+                           attrs=f'"entry_point" "num_required_qubits"="{count}"')
+        assert main(["run", write(tmp_path, src)]) == EX_CONFIG
+        assert "num_required_qubits" in capsys.readouterr().err
 
 
 def test_too_many_qubits_is_validation_error(tmp_path, capsys):

@@ -22,14 +22,13 @@ from qirvm import (
     StatevectorBackend,
     default_registry,
     find_entry,
-    gate_matrix,
     parse_module,
     run_program,
 )
 from qirvm import interpreter
 from qirvm.registry import GATE_SHAPES
 
-from conftest import TELEPORT_LL, allocating_apply
+from conftest import TELEPORT_LL, allocating_apply, full_matrix
 from test_branching import SMALL_CHUNK, call, feed_forward_programs, mz, program, qubit
 from test_statevector import draw
 
@@ -55,7 +54,7 @@ class FullLayoutBackend:
             self.amplitudes = state.copy()
 
     def apply_gate(self, gate_id, params, targets):
-        self.amplitudes = allocating_apply(self.amplitudes, gate_matrix(gate_id, params),
+        self.amplitudes = allocating_apply(self.amplitudes, full_matrix(gate_id, params),
                                            targets, self.n)
 
     def measure(self, qubit, choose):
@@ -271,7 +270,7 @@ def test_a_loaded_state_starts_with_an_empty_map():
     backend.allocate(3, state)
     assert backend.fixed == {}
     backend.apply_gate(GateId.RY, (0.4,), (2,))
-    expected = allocating_apply(state, gate_matrix(GateId.RY, (0.4,)), (2,), 3)
+    expected = allocating_apply(state, full_matrix(GateId.RY, (0.4,)), (2,), 3)
     assert_same_state(backend.amplitudes, expected, "ry")
 
 

@@ -245,11 +245,16 @@ class TestParseErrors:
             (cast("%Result*"), 8, 65, "inttoptr target type differs from the operand type"),
             (cast("ptr"), 8, 65, "inttoptr target type differs from the operand type"),
             (cast("%Foo*"), 8, 65, "unknown pointer type %Foo*"),
+            # a stray quote starts a string that runs to the next quote, lines on;
+            # an error quotes only the token's first line
+            (make_program('entry:\n  call void @__quantum__qis__h__body(" %Qubit* null)\n'
+                          '  ret void'), 8, 38, """expected a type, found '" %Qubit* null)'"""),
         ]
         for text, line, column, what in cases:
             with pytest.raises(ParseError, match=re.escape(what)) as exc:
                 parse_module(text)
             assert (exc.value.line, exc.value.column) == (line, column)
+            assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("indices, bad", [("i64 0, i64 1", "1"), ("i64 7, i64 0.5", "7"),
                                               ("i32 0, i32 0.5", "0.5")])

@@ -109,7 +109,7 @@ INSERTS = [
     "true", "false", "0x3FF0000000000000", "inttoptr", "to", "(", ")", ",", "*", "%0", "%Qubit*",
     "%Result*", "#7", "!9", "@0", "@__quantum__rt__initialize", "@__quantum__qis__mz__body",
     "@__quantum__qis__cnot__body", "@__quantum__qis__read_result__body", "@__quantum__qis__nop__body",
-    '"', ":", 'c"a\nb"', "then:",
+    '"', ":", 'c"a\nb"', "then:", "9" * 5000,
 ]
 EXIT_CODES = {0, 64, 65, 66, 70, 73, 78}
 # A parse error that quotes the token it stopped at, e.g. "found 'X'"

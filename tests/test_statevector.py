@@ -20,7 +20,7 @@ from qirvm import (
 from qirvm.backends import DEFAULT_MAX_QUBITS
 from qirvm.registry import GATE_SHAPES
 
-from conftest import allocating_apply, make_program, qpe_reference_distribution
+from conftest import allocating_apply, full_matrix, make_program, qpe_reference_distribution
 
 
 def fresh(n):
@@ -220,14 +220,11 @@ def random_gate_sequence(rng, n, count):
     seq = []
     for _ in range(count):
         g = ALL_GATES[rng.integers(len(ALL_GATES))]
-        arity = {GateId.RZZ: 2, GateId.CNOT: 2, GateId.CY: 2, GateId.CZ: 2,
-                 GateId.SWAP: 2, GateId.ZZ: 2, GateId.XX: 2, GateId.CCNOT: 3}.get(g, 1)
+        num_params, arity = GATE_SHAPES[g]
         if arity > n:
             continue
         targets = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
-        params = ()
-        if g in (GateId.RX, GateId.RY, GateId.RZ, GateId.RZZ):
-            params = (float(rng.uniform(-2 * np.pi, 2 * np.pi)),)
+        params = tuple(float(x) for x in rng.uniform(-2 * np.pi, 2 * np.pi, num_params))
         seq.append((g, params, targets))
     return seq
 
@@ -241,7 +238,7 @@ def test_random_sequences_match_dense_oracle():
         psi[0] = 1.0
         for g, params, targets in random_gate_sequence(rng, n, 200):
             sv.apply_gate(g, params, targets)
-            psi = embed_full(gate_matrix(g, params), targets, n) @ psi
+            psi = embed_full(full_matrix(g, params), targets, n) @ psi
         assert np.max(np.abs(sv.amplitudes - psi)) < 1e-9
 
 
@@ -279,7 +276,7 @@ def test_every_gate_class_matches_the_allocating_formula_bit_for_bit(n):
     for gate, params, targets in every_gate_application(rng, n):
         sv = StatevectorBackend()
         sv.allocate(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))  # no zeros
-        expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
+        expected = allocating_apply(sv.amplitudes, full_matrix(gate, params), targets, n)
         sv.apply_gate(gate, params, targets)
         assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64)), \
             (gate, targets)
@@ -294,7 +291,7 @@ def test_every_gate_class_matches_the_allocating_formula_after_a_projection(n):
         state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         sv.allocate(n, state / np.linalg.norm(state))
         sv.measure(int(rng.integers(n)), choose)
-        expected = allocating_apply(sv.amplitudes, gate_matrix(gate, params), targets, n)
+        expected = allocating_apply(sv.amplitudes, full_matrix(gate, params), targets, n)
         sv.apply_gate(gate, params, targets)
         assert np.array_equal(sv.amplitudes, expected), (gate, targets)
         parts, expected_parts = sv.amplitudes.view(np.float64), expected.view(np.float64)
