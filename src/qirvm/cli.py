@@ -1,12 +1,14 @@
 """Command-line entry point: parse -> validate -> run -> JSON.
 
 Exit codes: 0 ok, 64 usage, 65 parse error, 66 unreadable input,
-70 runtime fault, 73 unwritable output, 78 validation errors.
+70 runtime fault, 73 unwritable output, 74 stdout closed or unwritable,
+78 validation errors.  Run it as `qirvm` or `python -m qirvm.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -24,6 +26,7 @@ EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
 EX_CANTCREAT = 73
+EX_IOERR = 74
 EX_CONFIG = 78
 
 
@@ -111,9 +114,23 @@ def main(argv: Optional[list] = None) -> int:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return EX_CANTCREAT
     else:
-        sys.stdout.write(text)
+        try:  # as bytes: under -u the text layer drops what a short write leaves over
+            sys.stdout.flush()
+            data = memoryview(text.encode())
+            while data:
+                data = data[sys.stdout.buffer.write(data):]
+            sys.stdout.flush()
+        except OSError as exc:
+            # what the buffer still holds goes to devnull, so shutdown's flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            return EX_IOERR
     return EX_OK
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -3,21 +3,22 @@
 A run compiles the entry function once (compile_program) and executes
 its blocks once per trie miss, with a fresh backend, SSA environment,
 result bits and recorder, and an RNG stream derived deterministically from
-(seed, shot_index): shot_rng defines it for one shot, ShotStreams computes
-it for many, and a miss continues its row's stream in Python ints
-(_PCG64), so a run never loads numpy.random.  Shots are therefore
-order-independent: a shot whose outcome history an earlier shot already
-ran reuses that work (see OutcomeTrie), and a group that misses runs as
-one shot, which the others leave where their draws differ (see _Miss), so
-each gets the output it would compute alone.  Only this module routes,
-replays and stores shots.  A shot enters each block at most once: a jump
-or branch into a block it entered faults (see execute_shot).
+(seed, shot_index): shot_rng defines it for one shot, and ShotStreams
+computes it for many and steps a routed group's rows or a miss's row, so a
+run never loads numpy.random.  Shots are therefore order-independent: a
+shot whose outcome history an earlier shot already ran reuses that work
+(see OutcomeTrie), and a group that misses runs as one shot, which the
+others leave where their draws differ (see _Miss), so each gets the output
+it would compute alone.  Only this module routes, replays and stores
+shots.  A shot enters each block at most once: a jump or branch into a
+block it entered faults (see execute_shot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ DEFAULT_SHOTS = 1024
 SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 
 # Identifies the per-shot stream, numpy PCG64 seeded with SeedSequence([seed, shot_index]):
-# shot_rng defines it; ShotStreams computes it, and a trie miss continues it, bit for bit.
+# shot_rng defines it; ShotStreams computes it, for a routed group or a miss's row, bit for bit.
 RNG_ID = "numpy-pcg64/seedseq[seed,shot]"
 
 
@@ -64,7 +65,7 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
 _M32, _LOW, _S32 = (1 << 32) - 1, np.uint64((1 << 32) - 1), np.uint64(32)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT, _M64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1
 _ML, _MH = np.uint64(_PCG_MULT & _M64), np.uint64(_PCG_MULT >> 64)
 _ML0, _ML1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
 
@@ -85,7 +86,8 @@ class ShotStreams:
 
     Redoes SeedSequence([seed, i]) and PCG64's seeding in uint32/uint64
     arrays, one row per shot, 128-bit values as (hi, lo) pairs.  Each row's
-    draws equal those of shot_rng(seed, first + row).random(), bit for bit.
+    draws equal those of shot_rng(seed, first + row).random(), bit for bit,
+    whether it steps alone or in an index array.
     """
 
     def __init__(self, seed: int, first: int, count: int):
@@ -116,7 +118,8 @@ class ShotStreams:
         self.hi = self.inc_hi + seed_hi + (self.lo < seed_lo)
         self.random(slice(None))
 
-    def random(self, rows) -> np.ndarray:
+    @np.errstate(over="ignore")  # a row index gives numpy scalars, which warn when they wrap
+    def random(self, rows):
         """Step `rows` (state = state * _PCG_MULT + inc) and return their next uniforms."""
         hi, lo, inc_lo = self.hi[rows], self.lo[rows], self.inc_lo[rows]
         lo0, lo1 = lo & _LOW, lo >> _S32  # the high word of lo * _ML, over 32-bit limbs
@@ -129,27 +132,6 @@ class ShotStreams:
         bits, rotation = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
         bits = (bits >> rotation) | (bits << ((np.uint64(64) - rotation) & np.uint64(63)))
         return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-    def generator(self, row: int) -> _PCG64:
-        """A stream that continues `row`'s from its current state."""
-        return _PCG64(int(self.hi[row]) << 64 | int(self.lo[row]),
-                      int(self.inc_hi[row]) << 64 | int(self.inc_lo[row]))
-
-
-class _PCG64:
-    """One PCG64 stream in Python ints; random() equals Generator(PCG64).random(), bit for bit."""
-
-    __slots__ = ("state", "inc")
-
-    def __init__(self, state: int, inc: int):
-        self.state, self.inc = state, inc
-
-    def random(self) -> float:
-        """Step as ShotStreams.random does, then its XSL-RR output's top 53 bits."""
-        self.state = state = (self.state * _PCG_MULT + self.inc) & _M128
-        bits, rotation = (state >> 64 ^ state) & _M64, state >> 122
-        bits = (bits >> rotation | bits << 64 - rotation) & _M64
-        return (bits >> 11) * 2.0 ** -53
 
 
 # Shot branching.  The gates a shot applies between two measurements depend
@@ -220,12 +202,12 @@ class OutcomeTrie:
 class _Miss(NamedTuple):
     """A group of run_program at an empty trie slot, `tail` = (node, outcome).
 
-    Its lowest shot resumes at `walk` (see _walk) and continues its stream
-    in `rng`.  At each node it adds, `others` draw from `streams`; those whose
-    outcome differs wait on `waiting` at its other slot, the rest at the leaf.
+    Its lowest shot resumes at `walk` (see _walk) and draws from `draw`.  At
+    each node it adds, `others` draw from `streams`; those whose outcome
+    differs wait on `waiting` at its other slot, the rest at the leaf.
     """
 
-    rng: _PCG64  # execute_shot wraps any other object with random() as _Miss(rng)
+    draw: Callable[[], float]  # execute_shot wraps any other rng as _Miss(rng.random)
     walk: list = ()
     tail: Optional[tuple] = None
     trie: Optional[OutcomeTrie] = None
@@ -254,7 +236,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     at block 0, takes the walk's outcomes, then draws, adds a node per
     draw, parting its others there, and seals its leaf.
     """
-    miss = rng if isinstance(rng, _Miss) else _Miss(rng)
+    miss = rng if isinstance(rng, _Miss) else _Miss(rng.random)
     tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
     start = miss.walk[0][0].resume if miss.walk else None
     steps, cursor, entered, ssa, bits, entries, recorder.declared_len = start or (
@@ -267,7 +249,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         outcome = next(replay, None)
         if outcome is not None:
             return outcome
-        outcome = 1 if miss.rng.random() < p1 else 0
+        outcome = 1 if miss.draw() < p1 else 0
         if tail is None:
             return outcome
         if trie.nodes >= MAX_TRIE_NODES:  # the trie stops growing: the others wait here
@@ -365,8 +347,8 @@ def run_program(
                 walk = _walk(node, outcome)
                 backend = create_backend(config.backend_choice)
                 backend.allocate(entry.num_qubits, walk[0][0].state if walk else None)
-                miss = _Miss(streams.generator(rows[0]), walk, (node, outcome), trie, streams,
-                             rows[1:], waiting)
+                miss = _Miss(partial(streams.random, rows[0]), walk, (node, outcome), trie,
+                             streams, rows[1:], waiting)
                 try:
                     taken.append((rows[:1], execute_shot(program, backend, miss)))
                 except RuntimeFault as error:

@@ -159,6 +159,11 @@ def assert_matches_reference(source, shots, seed):
     return expected
 
 
+# ry's angle for p1 = 1/8 from |0>: few shots jump at a coin, so the lowest
+# that does most often shares its history with a lower one that did not
+COIN = f"double {hexdouble(2 * math.asin(math.sqrt(1 / 8)))}"
+
+
 @st.composite
 def feed_forward_programs(draw):
     """Random gates, mid-circuit mz/reset and `br i1` on read_result.
@@ -173,7 +178,11 @@ def feed_forward_programs(draw):
     takes the other arm must read the result bits of the resume point, not
     the earlier shot's writes.  Some arms end with a jump back to an earlier
     block: a shot faults there if it entered that block, which a shot that
-    resumes past it must remember, and otherwise runs it.
+    resumes past it must remember, and otherwise runs it.  Others flip a
+    coin at their end and on 1 jump back to a round-0 block (in round 0,
+    to the arm itself), so the shots that jump part there from those that
+    do not: the lowest shot to jump is then often one that resumed past
+    that block, not the one that ran first.
     """
     n = draw(st.integers(1, 4))
     num_results = draw(st.integers(1, 3))
@@ -225,9 +234,23 @@ def feed_forward_programs(draw):
         overwrite = sorted(earlier - {r})
         arms = [ops() + (measure_random_bit(draw(st.sampled_from(overwrite)))[1]
                          if overwrite and draw(st.booleans()) else []) for _ in range(2)]
-        # about one arm in ten jumps back (hypothesis draws a range's ends more often)
-        exits = [draw(st.sampled_from(labels + [f"then{index}", f"else{index}"][: arm + 1]))
-                 if draw(st.integers(0, 9)) == 7 else None for arm in range(2)]
+        exits = [None, None]
+        for arm, arm_lines in enumerate(arms):
+            # about one arm in ten jumps back (hypothesis draws a range's ends more often)
+            back = draw(st.integers(0, 9))
+            if back == 7:
+                exits[arm] = draw(st.sampled_from(
+                    labels + [f"then{index}", f"else{index}"][: arm + 1]))
+            elif back in (3, 5):
+                # about one in five jumps back only if a coin into r (which every path
+                # has measured) lands 1, to a round-0 block or, in round 0, this arm
+                q, to = draw(st.integers(0, n - 1)), draw(st.sampled_from(
+                    labels[1:4] or [("then", "else")[arm] + str(index)]))
+                arm_lines += [call("reset", qubit(q)), call("ry", COIN, qubit(q)), mz(q, r),
+                              f"  %b{index}_{arm} = call i1 "
+                              f"@__quantum__qis__read_result__body({result(r)})",
+                              f"  br i1 %b{index}_{arm}, label %{to}, label %stay{index}_{arm}",
+                              f"stay{index}_{arm}:"]
         lines += branch(index, r, *arms, before_br, exits)
         labels += [f"then{index}", f"else{index}", f"join{index}"]
         earlier.add(r)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +11,7 @@ from qirvm.cli import (
     EX_CANTCREAT,
     EX_CONFIG,
     EX_DATAERR,
+    EX_IOERR,
     EX_NOINPUT,
     EX_OK,
     EX_SOFTWARE,
@@ -212,6 +217,36 @@ def test_unwritable_output(teleport_file):
     code = main(["run", teleport_file, "--shots", "1",
                  "--output", "/nonexistent-dir/out.json"])
     assert code == EX_CANTCREAT
+
+
+def cli_process(args, unbuffered="", **kwargs):
+    """`python -m qirvm.cli` on `args` in a fresh process; "" leaves stdout buffered."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    return subprocess.Popen([sys.executable, "-m", "qirvm.cli", *args], env=env, **kwargs)
+
+
+# Under -u (PYTHONUNBUFFERED) the write to a closed pipe is a short one
+# first, which the text layer would drop without an error.
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_stdout_closed_early_exits_74_without_a_traceback(teleport_file, unbuffered):
+    # 200,000 per-shot lines are about 2.2 MB, far more than a pipe holds
+    with cli_process(["run", teleport_file, "--shots", "200000", "--per-shot"], unbuffered,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as process:
+        assert process.stdout.read(10) == '{\n  "schem'
+        process.stdout.close()
+        err = process.stderr.read()
+    assert process.returncode == EX_IOERR
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_python_dash_m_runs_the_cli(teleport_file, capsys):
+    args = ["run", teleport_file, "--shots", "8", "--seed", "3"]
+    assert main(args) == EX_OK
+    out, err = cli_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           text=True).communicate(timeout=120)
+    assert (out, err) == (capsys.readouterr().out, "")
+    assert json.loads(out)["shots"] == 8
 
 
 def test_entry_override(tmp_path, capsys):

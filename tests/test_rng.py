@@ -4,8 +4,9 @@ Draws are compared as uint64 views, so two floats only match when every
 bit does.  Seeds run from one 32-bit entropy word to seven, so
 SeedSequence's tail mixing (more than four words) runs; shot ranges
 straddle 2**32, where a shot index gains a second word, and the run's
-chunk boundaries.  The stream a trie miss takes over from a row continues
-it, and a run never loads numpy.random.
+chunk boundaries.  A row stepped alone, as a trie miss steps its lowest
+shot, continues its stream from any routed draws, and a run never loads
+numpy.random.
 """
 
 import json
@@ -58,18 +59,18 @@ def test_draws_equal_shot_rng_bit_for_bit(seed, first, count, draws):
 def test_advancing_some_rows_leaves_the_others_alone(seed, first, data):
     count = data.draw(st.integers(1, 32))
     advanced = np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
-    expected = reference(seed, first, count, 4)
+    row = data.draw(st.integers(0, count - 1))
+    expected = reference(seed, first, count, 5)
     streams = ShotStreams(seed, first, count)
     head = streams.random(np.flatnonzero(advanced))
-    # a trie miss continues its row's stream from there
-    for row in range(count):
-        taken = int(advanced[row])
-        stream = streams.generator(row)
-        continued = [stream.random() for _ in range(3)]
-        assert np.array_equal(bits(continued), bits(expected[row, taken:taken + 3]))
+    # a trie miss steps its row alone, by its row number
+    taken = advanced.astype(int)
+    alone = [streams.random(row) for _ in range(3)]
+    assert np.array_equal(bits(alone), bits(expected[row, taken[row]:taken[row] + 3]))
+    taken[row] += 3
     after = streams.random(np.arange(count))
     assert np.array_equal(bits(head), bits(expected[advanced, 0]))
-    assert np.array_equal(bits(after), bits(np.where(advanced, expected[:, 1], expected[:, 0])))
+    assert np.array_equal(bits(after), bits(expected[np.arange(count), taken]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,8 +81,7 @@ def test_a_continued_stream_equals_shot_rng_after_routed_draws(seed, first, coun
     for _ in range(routed):
         streams.random(np.arange(count))
     row = data.draw(st.integers(0, count - 1))
-    stream = streams.generator(row)
-    continued = [stream.random() for _ in range(64)]
+    continued = [streams.random(row) for _ in range(64)]
     expected = shot_rng(seed, first + row).random(routed + 64)[routed:]
     assert np.array_equal(bits(continued), bits(expected))
 
