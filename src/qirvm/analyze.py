@@ -187,6 +187,40 @@ def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry
     return tuple(tuple(step(ins) for ins in block.instructions) for block in fn.blocks)
 
 
+def _blocks_on_cycles(program: tuple) -> list:
+    """The blocks reachable from block 0 that lie on a cycle, in order.
+
+    Kosaraju's algorithm: in reverse post-order, each search over reversed
+    edges finds one strongly connected component.
+    """
+    targets = [args[-2:] if code is Control.BRANCH else args if code is Control.JUMP else []
+               for code, *args in (steps[-1] for steps in program)]
+
+    def postorder(start, edges, seen):  # the blocks `seen` gains, in post-order, on a stack
+        order, path = [], [(start, iter(edges[start]))]
+        seen.add(start)
+        while path:
+            block = next((b for b in path[-1][1] if b not in seen), None)
+            if block is None:
+                order.append(path.pop()[0])
+            else:
+                seen.add(block)
+                path.append((block, iter(edges[block])))
+        return order
+
+    order, assigned, cyclic = postorder(0, targets, set()), set(), []
+    sources = [[] for _ in program]
+    for block in order:
+        for target in targets[block]:
+            sources[target].append(block)
+    for root in reversed(order):
+        if root not in assigned:
+            component = postorder(root, sources, assigned)
+            if len(component) > 1 or root in targets[root]:
+                cyclic += component
+    return sorted(cyclic)
+
+
 def validate_profile(
     module: ProgramModule, entry: EntryPoint, registry: Registry
 ) -> list:
@@ -194,7 +228,10 @@ def validate_profile(
 
     Warnings do not block execution; any error-severity diagnostic does.
     The errors are the qubit-count limit and one per FAULT step of
-    compile_program, located at function:block:instruction.
+    compile_program, located at function:block:instruction.  A block on a
+    cycle reachable from the entry block is a warning: a shot faults only
+    if it enters the block again, and the QIR Adaptive Profile allows
+    backward branches as the opt-in `backwards_branching` capability.
     """
     diagnostics = []
     fn = module.function(entry.function_name)
@@ -203,8 +240,9 @@ def validate_profile(
         diagnostics.append(Diagnostic("error", message, fn.name))
     measured = set()
     read_results = []
+    program = compile_program(module, entry, registry)
 
-    for block, steps in zip(fn.blocks, compile_program(module, entry, registry)):
+    for block, steps in zip(fn.blocks, program):
         for i, (code, *args) in enumerate(steps):
             loc = f"{fn.name}:{block.label}:{i}"
             if code is Control.FAULT:
@@ -220,4 +258,8 @@ def validate_profile(
             diagnostics.append(
                 Diagnostic("warning", f"result {index} is read but never measured", loc)
             )
+
+    diagnostics += [Diagnostic("warning", "block is on a cycle; a shot that enters it again "
+                               "faults", f"{fn.name}:{fn.blocks[block].label}")
+                    for block in _blocks_on_cycles(program)]
     return diagnostics

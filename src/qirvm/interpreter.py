@@ -4,8 +4,8 @@ A run compiles the entry function once (compile_program) and executes
 its blocks once per trie miss, with a fresh backend, SSA environment,
 result bits and recorder, and an RNG stream derived deterministically from
 (seed, shot_index): shot_rng defines it for one shot, and ShotStreams
-computes it for many and steps a routed group's rows or a miss's row, so a
-run never loads numpy.random.  Shots are therefore order-independent: a
+computes each depth's draw for all of a chunk's shots at once within a byte
+budget, so a run never loads numpy.random.  Shots are order-independent: a
 shot whose outcome history an earlier shot already ran reuses that work
 (see OutcomeTrie), and a group that misses runs as one shot, which the
 others leave where their draws differ (see _Miss), so each gets the output
@@ -34,7 +34,7 @@ DEFAULT_SHOTS = 1024
 SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 
 # Identifies the per-shot stream, numpy PCG64 seeded with SeedSequence([seed, shot_index]):
-# shot_rng defines it; ShotStreams computes it, for a routed group or a miss's row, bit for bit.
+# shot_rng defines it; ShotStreams computes it bit for bit, in draw tables or row by row.
 RNG_ID = "numpy-pcg64/seedseq[seed,shot]"
 
 
@@ -87,7 +87,7 @@ class ShotStreams:
     Redoes SeedSequence([seed, i]) and PCG64's seeding in uint32/uint64
     arrays, one row per shot, 128-bit values as (hi, lo) pairs.  Each row's
     draws equal those of shot_rng(seed, first + row).random(), bit for bit,
-    whether it steps alone or in an index array.
+    whether read from the table, stepped alone or in an index array.
     """
 
     def __init__(self, seed: int, first: int, count: int):
@@ -117,6 +117,18 @@ class ShotStreams:
         self.lo = self.inc_lo + seed_lo
         self.hi = self.inc_hi + seed_hi + (self.lo < seed_lo)
         self.random(slice(None))
+        self.table = []  # table[k]: every row's k-th uniform
+
+    def draws(self, rows, k: int):
+        """The k-th uniform (from 0) of each of `rows`, which read each k once, in order.
+
+        Depth k's first read steps all rows and keeps their uniforms while the
+        table stays below MAX_DRAW_TABLE_BYTES.  Rows step in lockstep until
+        then, so past it each is at draw len(table) and steps alone.
+        """
+        if k == len(self.table) and (k + 1) * self.lo.nbytes < MAX_DRAW_TABLE_BYTES:
+            self.table.append(self.random(slice(None)))
+        return self.table[k][rows] if k < len(self.table) else self.random(rows)
 
     @np.errstate(over="ignore")  # a row index gives numpy scalars, which warn when they wrap
     def random(self, rows):
@@ -144,6 +156,7 @@ class ShotStreams:
 # from them draws the same outcomes.
 MAX_TRIE_NODES = 1 << 16
 MAX_STORED_AMPLITUDES = 1 << 16
+MAX_DRAW_TABLE_BYTES = 1 << 20  # per chunk: 31 depths of 4,096 rows, 2,730 of 48
 
 
 class _Node:
@@ -202,12 +215,12 @@ class OutcomeTrie:
 class _Miss(NamedTuple):
     """A group of run_program at an empty trie slot, `tail` = (node, outcome).
 
-    Its lowest shot resumes at `walk` (see _walk) and draws from `draw`.  At
-    each node it adds, `others` draw from `streams`; those whose outcome
+    Its lowest shot resumes at `walk` (see _walk); draw(k) is its k-th uniform.
+    At each node it adds, `others` draw from `streams`; those whose outcome
     differs wait on `waiting` at its other slot, the rest at the leaf.
     """
 
-    draw: Callable[[], float]  # execute_shot wraps any other rng as _Miss(rng.random)
+    draw: Callable[[int], float]  # execute_shot wraps any other rng to ignore k
     walk: list = ()
     tail: Optional[tuple] = None
     trie: Optional[OutcomeTrie] = None
@@ -236,8 +249,9 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     at block 0, takes the walk's outcomes, then draws, adds a node per
     draw, parting its others there, and seals its leaf.
     """
-    miss = rng if isinstance(rng, _Miss) else _Miss(rng.random)
+    miss = rng if isinstance(rng, _Miss) else _Miss(lambda k: rng.random())
     tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
+    drawn = miss.walk[0][0].depth - 1 if miss.walk else 0  # the shot's draws before the next
     start = miss.walk[0][0].resume if miss.walk else None
     steps, cursor, entered, ssa, bits, entries, recorder.declared_len = start or (
         program[0], 0, {0}, {}, {}, [], None)
@@ -245,11 +259,12 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     replay = iter([outcome for _, outcome in miss.walk])
 
     def choose(p1, amplitudes):
-        nonlocal tail, others
+        nonlocal tail, others, drawn
+        k, drawn = drawn, drawn + 1  # this is the shot's k-th draw (from 0), replayed or not
         outcome = next(replay, None)
         if outcome is not None:
             return outcome
-        outcome = 1 if miss.draw() < p1 else 0
+        outcome = 1 if miss.draw(k) < p1 else 0
         if tail is None:
             return outcome
         if trie.nodes >= MAX_TRIE_NODES:  # the trie stops growing: the others wait here
@@ -260,7 +275,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         trie.nodes += 1
         node = tail[0].children[tail[1]] = _Node(p1, tail)
         if others.size:
-            leave = (miss.streams.random(others) < p1) != outcome
+            leave = (miss.streams.draws(others, k) < p1) != outcome
             if leave.any():
                 trie.store(node, amplitudes, (
                     steps, cursor - 1, set(entered), dict(ssa), dict(bits),
@@ -338,7 +353,7 @@ def run_program(
             rows, node, outcome = waiting.pop()
             held = node.children[outcome]
             if isinstance(held, _Node):
-                ones = streams.random(rows) < held.p1
+                ones = streams.draws(rows, held.depth - 1) < held.p1
                 waiting += [(part, held, outcome) for outcome, part in
                             ((0, rows[~ones]), (1, rows[ones])) if part.size]
             elif held is not None:
@@ -347,7 +362,7 @@ def run_program(
                 walk = _walk(node, outcome)
                 backend = create_backend(config.backend_choice)
                 backend.allocate(entry.num_qubits, walk[0][0].state if walk else None)
-                miss = _Miss(partial(streams.random, rows[0]), walk, (node, outcome), trie,
+                miss = _Miss(partial(streams.draws, rows[0]), walk, (node, outcome), trie,
                              streams, rows[1:], waiting)
                 try:
                     taken.append((rows[:1], execute_shot(program, backend, miss)))
@@ -357,6 +372,7 @@ def run_program(
             raise RuntimeFault(f"shot {first + fault[0]}: {fault[1]}") from fault[1]
         taken.sort(key=lambda group: group[0][0])
         histogram.add_groups(taken, count)
+        del streams  # its table and state go before the next chunk's are computed
 
     return histogram.result(
         program_name=module.source_name or entry.function_name,

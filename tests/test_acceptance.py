@@ -243,3 +243,18 @@ def test_million_shot_teleport_run(tmp_path):
     doc = json.loads(outputs[0].read_text())
     assert doc["shots"] == sum(doc["histogram"].values()) == 10 ** 6
     _report("million shots", f"({t.elapsed:.2f} s per run)")
+
+
+# run_program's histograms at 10**6 shots, over 245 chunks; a change to how
+# chunks step their streams must leave them as they are
+MILLION_SHOT_HISTOGRAMS = {
+    0: {"000": 249976, "010": 249236, "100": 250388, "110": 250400},
+    2 ** 32 + 1: {"000": 250950, "010": 249449, "100": 249782, "110": 249819},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MILLION_SHOT_HISTOGRAMS))
+def test_million_shot_teleport_histogram(teleport_module, teleport_entry, registry, seed):
+    result = run_program(teleport_module, teleport_entry, registry,
+                         RunConfig(shots=10 ** 6, seed=seed))
+    assert result.histogram == MILLION_SHOT_HISTOGRAMS[seed]

@@ -12,7 +12,7 @@ from qirvm import (
     validate_profile,
 )
 
-from conftest import TELEPORT_LL, make_program
+from conftest import QPE_LL, TELEPORT_LL, make_program
 
 
 class TestFindEntry:
@@ -73,6 +73,42 @@ declare void @__quantum__qis__h__body(%Qubit*)
 class TestValidateProfile:
     def test_teleport_is_clean(self, teleport_module, teleport_entry, registry):
         assert validate_profile(teleport_module, teleport_entry, registry) == []
+
+    def test_qpe_is_clean(self, qpe_module, registry):
+        assert validate_profile(qpe_module, find_entry(qpe_module), registry) == []
+
+    def test_each_block_on_a_reachable_cycle_warns_once(self, registry):
+        # entry -> a -> b -> (c | d -> (c | exit)), c -> a: a, b, c and d lie on
+        # cycles; exit's constant branch compiles to a jump to done, so the
+        # self-loop of dead is never reached
+        src = make_program(
+            "entry:\n  br label %a\n"
+            "a:\n  br label %b\n"
+            "b:\n"
+            "  call void @__quantum__qis__mz__body(%Qubit* null, %Result* null)\n"
+            "  %0 = call i1 @__quantum__qis__read_result__body(%Result* null)\n"
+            "  br i1 %0, label %c, label %d\n"
+            "d:\n  br i1 %0, label %c, label %exit\n"
+            "c:\n  br label %a\n"
+            "exit:\n  br i1 false, label %dead, label %done\n"
+            "done:\n  ret void\n"
+            "dead:\n  br label %dead",
+            declarations="declare void @__quantum__qis__mz__body(%Qubit*, %Result* writeonly)\n"
+                         "declare i1 @__quantum__qis__read_result__body(%Result*)",
+            attrs='"entry_point" "num_required_qubits"="1" "num_required_results"="1"',
+        )
+        module = parse_module(src)
+        diags = validate_profile(module, find_entry(module), registry)
+        assert [(d.severity, d.location) for d in diags] == [
+            ("warning", f"main:{label}") for label in ("a", "b", "d", "c")]
+        assert all("cycle" in d.message for d in diags)
+
+    def test_a_long_chain_of_blocks_is_searched_without_recursion(self, registry):
+        blocks = 5000
+        body = "".join(f"b{i}:\n  br label %b{i + 1}\n" for i in range(blocks))
+        for last, expected in ("ret void", 0), ("br label %b0", blocks + 1):
+            module = parse_module(make_program(f"{body}b{blocks}:\n  {last}"))
+            assert len(validate_profile(module, find_entry(module), registry)) == expected
 
     def test_qubit_index_out_of_range(self, registry):
         src = TELEPORT_LL.replace('"num_required_qubits"="3"', '"num_required_qubits"="2"')

@@ -260,7 +260,9 @@ def feed_forward_programs(draw):
 
 # Small budgets make misses replay from an ancestor's stored state, or from
 # |0...0>, and stop the trie growing partway through a run.  A small chunk
-# makes runs of up to 64 shots cross several chunk boundaries.
+# makes runs of up to 64 shots cross several chunk boundaries.  A 100-byte draw
+# table holds two depths of a 5-shot chunk, one of up to 12 shots and none of
+# a larger one, so rows step by themselves past it.
 SMALL_CHUNK = 5
 
 
@@ -268,11 +270,13 @@ SMALL_CHUNK = 5
 @given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
        st.sampled_from([interpreter.MAX_STORED_AMPLITUDES, 32, 8, 0]),
        st.sampled_from([interpreter.MAX_TRIE_NODES, 3]),
-       st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]))
+       st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]),
+       st.sampled_from([interpreter.MAX_DRAW_TABLE_BYTES, 100, 0]))
 def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes,
-                                           chunk):
+                                           chunk, max_table_bytes):
     with mock.patch.multiple(interpreter, MAX_STORED_AMPLITUDES=max_amplitudes,
-                             MAX_TRIE_NODES=max_nodes, SHOT_CHUNK=chunk):
+                             MAX_TRIE_NODES=max_nodes, SHOT_CHUNK=chunk,
+                             MAX_DRAW_TABLE_BYTES=max_table_bytes):
         assert_matches_reference(source, shots, seed)
 
 
@@ -390,6 +394,36 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
     assert len(states) > 1 and all(state is None for state in states)
     [trie] = tries
     assert trie.nodes > 0 and not trie.stored
+
+
+# prints the tracemalloc peak of a warm run_program of the program on stdin,
+# with the draw table or ("no-table") with each group stepping its rows by
+# themselves.  Each peak is taken in a fresh process with the collector off:
+# in a used one, Python's free lists hand out objects that tracemalloc never
+# sees allocated, so a peak there depends on what ran before.
+TRACED_PEAK = """
+import gc, sys, tracemalloc
+from qirvm import RunConfig, default_registry, find_entry, interpreter, parse_module, run_program
+if sys.argv[1] == "no-table":
+    interpreter.ShotStreams.draws = lambda streams, rows, k: streams.random(rows)
+module = parse_module(sys.stdin.read())
+args = module, find_entry(module), default_registry(), RunConfig(shots=4096)
+run_program(*args)
+gc.disable()
+tracemalloc.start()
+run_program(*args)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_the_draw_table_bounds_the_peak_of_a_deep_program():
+    # two histories of 1,001 draws a shot: an unbounded table would hold 32 MiB
+    source = program([call("h", qubit(0)), mz(0, 0), *[mz(1, 1)] * 1000], 2, [0, 1], 2)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with_table, without = (int(subprocess.run(
+        [sys.executable, "-c", TRACED_PEAK, table], input=source, env=env, capture_output=True,
+        text=True, check=True, timeout=120).stdout) for table in ("table", "no-table"))
+    assert with_table <= without + interpreter.MAX_DRAW_TABLE_BYTES
 
 
 def test_a_miss_computes_no_gate_before_its_stored_state():

@@ -150,6 +150,10 @@ def test_runtime_fault_exit_code(tmp_path):
     assert main(["run", write(tmp_path, src)]) == EX_SOFTWARE
 
 
+LOOP_WARNING = ("warning: main:loop: block is on a cycle; "
+                "a shot that enters it again faults\n")
+
+
 def test_a_program_that_never_ends_faults_at_its_first_jump_back(tmp_path, capsys):
     src = make_program(
         "entry:\n  br label %loop\n"
@@ -162,7 +166,11 @@ def test_a_program_that_never_ends_faults_at_its_first_jump_back(tmp_path, capsy
         attrs='"entry_point" "num_required_qubits"="1" "num_required_results"="1"',
     )
     assert main(["run", write(tmp_path, src), "--shots", "3"]) == EX_SOFTWARE
-    assert capsys.readouterr().err == "runtime fault: shot 0: entered block 1 twice\n"
+    assert capsys.readouterr().err == (
+        LOOP_WARNING + "runtime fault: shot 0: entered block 1 twice\n")
+    # a cycle is a warning, so the program validates
+    assert main(["run", write(tmp_path, src), "--validate-only"]) == EX_OK
+    assert capsys.readouterr().err == LOOP_WARNING
 
 
 # checked before the input is read, so a missing file is exit 64 too

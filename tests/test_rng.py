@@ -5,8 +5,9 @@ bit does.  Seeds run from one 32-bit entropy word to seven, so
 SeedSequence's tail mixing (more than four words) runs; shot ranges
 straddle 2**32, where a shot index gains a second word, and the run's
 chunk boundaries.  A row stepped alone, as a trie miss steps its lowest
-shot, continues its stream from any routed draws, and a run never loads
-numpy.random.
+shot, continues its stream from any routed draws; draws(rows, k) gives the
+same bits from the per-depth table and past it, in the order routing reads
+it; and a run never loads numpy.random.
 """
 
 import json
@@ -14,13 +15,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qirvm import shot_rng
+from qirvm import interpreter, shot_rng
 from qirvm.interpreter import SHOT_CHUNK, ShotStreams
 
 SEEDS = st.one_of(
@@ -84,6 +86,46 @@ def test_a_continued_stream_equals_shot_rng_after_routed_draws(seed, first, coun
     continued = [streams.random(row) for _ in range(64)]
     expected = shot_rng(seed, first + row).random(routed + 64)[routed:]
     assert np.array_equal(bits(continued), bits(expected))
+
+
+ROUTED_DEPTHS = 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, FIRST_SHOTS, st.integers(1, 40), st.integers(2, 3), st.data())
+def test_table_draws_equal_shot_rng_in_routing_order(seed, first, count, depths, data):
+    """Random subsets read depth-first, as run_program routes: a part goes
+    deeper while its sibling waits, then reads the shallower depth.  The
+    table ends after `depths` depths, and rows step by themselves past it."""
+    expected = bits(reference(seed, first, count, ROUTED_DEPTHS))
+    streams = ShotStreams(seed, first, count)
+    waiting = [(np.arange(count), 0)]
+    with mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", depths * count * 8 + 1):
+        while waiting:
+            rows, k = waiting.pop()
+            assert np.array_equal(bits(streams.draws(rows, k)), expected[rows, k])
+            if k + 1 < ROUTED_DEPTHS:
+                mask = data.draw(st.integers(0, 2 ** rows.size - 1))
+                ones = (mask >> np.arange(rows.size) & 1).astype(bool)
+                waiting += [(part, k + 1) for part in (rows[~ones], rows[ones]) if part.size]
+    assert len(streams.table) == depths
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, FIRST_SHOTS, st.integers(2, 32), st.integers(2, 3), st.data())
+def test_a_row_stepped_past_the_table_leaves_the_others_alone(seed, first, count, depths, data):
+    """A miss's lead row reads by its row number, filling the table, then steps alone."""
+    total = depths + 4
+    expected = bits(reference(seed, first, count, total))
+    streams = ShotStreams(seed, first, count)
+    row = np.arange(count)[data.draw(st.integers(0, count - 1))]
+    others = np.delete(np.arange(count), row)
+    with mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", depths * count * 8 + 1):
+        alone = [streams.draws(row, k) for k in range(total)]
+        rest = np.stack([streams.draws(others, k) for k in range(total)], axis=1)
+    assert len(streams.table) == depths
+    assert np.array_equal(bits(alone), expected[row])
+    assert np.array_equal(bits(rest), expected[others])
 
 
 # prints whether numpy.random is loaded after `import numpy`, after `qirvm
