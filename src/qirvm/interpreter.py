@@ -5,13 +5,15 @@ its blocks once per trie miss, with a fresh backend, SSA environment,
 result bits and recorder, and an RNG stream derived deterministically from
 (seed, shot_index): shot_rng defines it for one shot, and ShotStreams
 computes each depth's draw for all of a chunk's shots at once within a byte
-budget, so a run never loads numpy.random.  Shots are order-independent: a
-shot whose outcome history an earlier shot already ran reuses that work
-(see OutcomeTrie), and a group that misses runs as one shot, which the
-others leave where their draws differ (see _Miss), so each gets the output
-it would compute alone.  Only this module routes, replays and stores
-shots.  A shot enters each block at most once: a jump or branch into a
-block it entered faults (see execute_shot).
+budget, so a run never loads numpy.random.  Each measurement owns one
+uniform, but none is computed where p1 (0, or 1 and above) fixes the
+outcome.  Shots are order-independent: a shot whose outcome history an
+earlier shot already ran reuses that work (see OutcomeTrie), and a group
+that misses runs as one shot, which the others leave where their draws
+differ (see _Miss), so each gets the output it would compute alone.  Only
+this module routes, replays and stores shots.  A shot enters each block
+at most once: a jump or branch into a block it entered faults (see
+execute_shot).
 """
 
 from __future__ import annotations
@@ -118,17 +120,33 @@ class ShotStreams:
         self.hi = self.inc_hi + seed_hi + (self.lo < seed_lo)
         self.random(slice(None))
         self.table = []  # table[k]: every row's k-th uniform
+        self.next = np.zeros(count, np.int64)  # each row's next draw, once past the table
+
+    def outcomes(self, rows, k: int, p1: float):
+        """Whether each of `rows` draws 1 at its k-th draw (uniform < p1), or one bool for all.
+
+        A p1 not strictly between 0 and 1 gives p1 >= 1.0 for every uniform
+        in [0, 1), NaN included, so no uniform is computed there.
+        """
+        return self.draws(rows, k) < p1 if 0.0 < p1 < 1.0 else p1 >= 1.0
 
     def draws(self, rows, k: int):
-        """The k-th uniform (from 0) of each of `rows`, which read each k once, in order.
+        """The k-th uniform (from 0) of each of `rows`, which read increasing k.
 
-        Depth k's first read steps all rows and keeps their uniforms while the
-        table stays below MAX_DRAW_TABLE_BYTES.  Rows step in lockstep until
-        then, so past it each is at draw len(table) and steps alone.
+        Reading depth k steps all rows through every depth up to k not yet
+        in the table, keeping their uniforms while the table stays below
+        MAX_DRAW_TABLE_BYTES.  Past it, a group's rows, which share their
+        history, step alone from max(next, len(table)) to draw k.
         """
-        if k == len(self.table) and (k + 1) * self.lo.nbytes < MAX_DRAW_TABLE_BYTES:
-            self.table.append(self.random(slice(None)))
-        return self.table[k][rows] if k < len(self.table) else self.random(rows)
+        table = self.table
+        while len(table) <= k and (len(table) + 1) * self.lo.nbytes < MAX_DRAW_TABLE_BYTES:
+            table.append(self.random(slice(None)))
+        if k < len(table):
+            return table[k][rows]
+        for _ in range(k - max(self.next[rows if np.isscalar(rows) else rows[0]], len(table))):
+            self.random(rows)
+        self.next[rows] = k + 1
+        return self.random(rows)
 
     @np.errstate(over="ignore")  # a row index gives numpy scalars, which warn when they wrap
     def random(self, rows):
@@ -215,12 +233,13 @@ class OutcomeTrie:
 class _Miss(NamedTuple):
     """A group of run_program at an empty trie slot, `tail` = (node, outcome).
 
-    Its lowest shot resumes at `walk` (see _walk); draw(k) is its k-th uniform.
-    At each node it adds, `others` draw from `streams`; those whose outcome
-    differs wait on `waiting` at its other slot, the rest at the leaf.
+    Its lowest shot resumes at `walk` (see _walk); draw(k, p1) is its outcome
+    at its k-th draw.  At each node it adds, `others` draw from `streams`;
+    those whose outcome differs wait on `waiting` at its other slot, the
+    rest at the leaf.
     """
 
-    draw: Callable[[int], float]  # execute_shot wraps any other rng to ignore k
+    draw: Callable[[int, float], bool]  # execute_shot wraps any other rng to draw every time
     walk: list = ()
     tail: Optional[tuple] = None
     trie: Optional[OutcomeTrie] = None
@@ -249,7 +268,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     at block 0, takes the walk's outcomes, then draws, adds a node per
     draw, parting its others there, and seals its leaf.
     """
-    miss = rng if isinstance(rng, _Miss) else _Miss(lambda k: rng.random())
+    miss = rng if isinstance(rng, _Miss) else _Miss(lambda k, p1: rng.random() < p1)
     tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
     drawn = miss.walk[0][0].depth - 1 if miss.walk else 0  # the shot's draws before the next
     start = miss.walk[0][0].resume if miss.walk else None
@@ -264,7 +283,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         outcome = next(replay, None)
         if outcome is not None:
             return outcome
-        outcome = 1 if miss.draw(k) < p1 else 0
+        outcome = 1 if miss.draw(k, p1) else 0
         if tail is None:
             return outcome
         if trie.nodes >= MAX_TRIE_NODES:  # the trie stops growing: the others wait here
@@ -275,8 +294,8 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         trie.nodes += 1
         node = tail[0].children[tail[1]] = _Node(p1, tail)
         if others.size:
-            leave = (miss.streams.draws(others, k) < p1) != outcome
-            if leave.any():
+            leave = miss.streams.outcomes(others, k, p1) != outcome
+            if leave is not False and leave.any():  # False where p1 fixes the outcome
                 trie.store(node, amplitudes, (
                     steps, cursor - 1, set(entered), dict(ssa), dict(bits),
                     list(recorder.entries), recorder.declared_len), miss.waiting)
@@ -335,11 +354,11 @@ def run_program(
     """Execute the entry function config.shots times and aggregate.
 
     Shots go through one OutcomeTrie SHOT_CHUNK at a time, in groups on a
-    stack, deepest parting first.  A group at a node draws from ShotStreams
-    and splits on u < p1; a group at a leaf takes its output; at an empty
-    slot it runs as one _Miss.  A fault is kept if its shot is the lowest
-    yet, misses above that shot are skipped, and the chunk then raises it,
-    so a fault names the lowest faulting shot.
+    stack, deepest parting first.  A group at a node splits by its
+    ShotStreams.outcomes, or moves as one where p1 fixes them; at a leaf it
+    takes its output; at an empty slot it runs as one _Miss.  A fault is
+    kept if its shot is the lowest yet, misses above that shot are skipped,
+    and the chunk then raises it, so a fault names the lowest faulting shot.
     """
     program = compile_program(module, entry, registry)
     trie = OutcomeTrie()
@@ -353,16 +372,17 @@ def run_program(
             rows, node, outcome = waiting.pop()
             held = node.children[outcome]
             if isinstance(held, _Node):
-                ones = streams.draws(rows, held.depth - 1) < held.p1
-                waiting += [(part, held, outcome) for outcome, part in
-                            ((0, rows[~ones]), (1, rows[ones])) if part.size]
+                ones = streams.outcomes(rows, held.depth - 1, held.p1)
+                parts = [(int(ones), rows)] if isinstance(ones, bool) else (
+                    (0, rows[~ones]), (1, rows[ones]))
+                waiting += [(part, held, outcome) for outcome, part in parts if part.size]
             elif held is not None:
                 taken.append((rows, held))
             elif fault is None or rows[0] < fault[0]:
                 walk = _walk(node, outcome)
                 backend = create_backend(config.backend_choice)
                 backend.allocate(entry.num_qubits, walk[0][0].state if walk else None)
-                miss = _Miss(partial(streams.draws, rows[0]), walk, (node, outcome), trie,
+                miss = _Miss(partial(streams.outcomes, rows[0]), walk, (node, outcome), trie,
                              streams, rows[1:], waiting)
                 try:
                     taken.append((rows[:1], execute_shot(program, backend, miss)))

@@ -1,9 +1,10 @@
 """Shot branching: run_program against a plain loop of fresh shots.
 
-The reference runs every shot through `execute_shot` on a fresh
-`StatevectorBackend` with its own `shot_rng(seed, i)` stream, which is what
-run_program did before shots shared an outcome-history trie.  The two must
-give byte-identical JSON, or fault at the same shot with the same message.
+The reference runs every shot through `execute_shot` on a fresh backend
+(a `StatevectorBackend` unless a test names another) with its own
+`shot_rng(seed, i)` stream, which is what run_program did before shots
+shared an outcome-history trie.  The two must give byte-identical JSON,
+or fault at the same shot with the same message.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ from qirvm import (
     run_program,
     shot_rng,
 )
-from qirvm import interpreter
+from qirvm import TraceBackend, backends, interpreter
 from qirvm.interpreter import RNG_ID
 
 from conftest import QPE_LL, TELEPORT_LL, make_program
@@ -122,12 +123,12 @@ def program(lines, num_qubits, recorded, num_results, recorded_before=0):
     )
 
 
-def reference(module, entry, shots, seed):
+def reference(module, entry, shots, seed, backend_choice):
     """Plain per-shot loop: JSON text, or the fault run_program must raise."""
     compiled = compile_program(module, entry, default_registry())
     outputs = []
     for shot_index in range(shots):
-        backend = StatevectorBackend()
+        backend = backends.create_backend(backend_choice)
         backend.allocate(entry.num_qubits)
         try:
             outputs.append(execute_shot(compiled, backend, shot_rng(seed, shot_index)))
@@ -136,7 +137,7 @@ def reference(module, entry, shots, seed):
     return emit_json(aggregate(
         outputs,
         program_name=module.source_name or entry.function_name,
-        backend_name="statevector",
+        backend_name=backend_choice,
         seed=seed,
         rng_id=RNG_ID,
         num_qubits=entry.num_qubits,
@@ -145,11 +146,11 @@ def reference(module, entry, shots, seed):
     ))
 
 
-def assert_matches_reference(source, shots, seed):
+def assert_matches_reference(source, shots, seed, backend_choice="statevector"):
     module = parse_module(source)
     entry = find_entry(module)
-    expected = reference(module, entry, shots, seed)
-    config = RunConfig(shots=shots, seed=seed, per_shot=True)
+    expected = reference(module, entry, shots, seed, backend_choice)
+    config = RunConfig(shots=shots, seed=seed, backend_choice=backend_choice, per_shot=True)
     if isinstance(expected, RuntimeFault):
         with pytest.raises(RuntimeFault) as raised:
             run_program(module, entry, default_registry(), config)
@@ -405,7 +406,7 @@ TRACED_PEAK = """
 import gc, sys, tracemalloc
 from qirvm import RunConfig, default_registry, find_entry, interpreter, parse_module, run_program
 if sys.argv[1] == "no-table":
-    interpreter.ShotStreams.draws = lambda streams, rows, k: streams.random(rows)
+    interpreter.ShotStreams.outcomes = lambda streams, rows, k, p1: streams.random(rows) < p1
 module = parse_module(sys.stdin.read())
 args = module, find_entry(module), default_registry(), RunConfig(shots=4096)
 run_program(*args)
@@ -417,13 +418,78 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_the_draw_table_bounds_the_peak_of_a_deep_program():
-    # two histories of 1,001 draws a shot: an unbounded table would hold 32 MiB
-    source = program([call("h", qubit(0)), mz(0, 0), *[mz(1, 1)] * 1000], 2, [0, 1], 2)
+    # two histories of 1,001 draws a shot, each in doubt (the ry leaves p1
+    # about 2.5e-19 before each mz of qubit 1): an unbounded table would hold 32 MiB
+    nudge = [call("ry", f"double {hexdouble(1e-9)}", qubit(1)), mz(1, 1)]
+    source = program([call("h", qubit(0)), mz(0, 0), *nudge * 1000], 2, [0, 1], 2)
     env = dict(os.environ, PYTHONPATH=SRC)
     with_table, without = (int(subprocess.run(
         [sys.executable, "-c", TRACED_PEAK, table], input=source, env=env, capture_output=True,
         text=True, check=True, timeout=120).stdout) for table in ("table", "no-table"))
     assert with_table <= without + interpreter.MAX_DRAW_TABLE_BYTES
+
+
+# p1 values at which a draw is fixed (the first three) or in doubt: u < p1
+# is 0 or 1 for every uniform u in [0, 1) exactly when p1 is not strictly
+# between 0 and 1.  The coin after them shows the streams stay in step.
+BOUNDARY_P1 = (0.0, 1.0, 1.0000000000000002, 0.9999999999999998, 5e-324, 0.5)
+
+
+class BoundaryBackend(TraceBackend):
+    """Hands `choose` the p1 of BOUNDARY_P1 at the measured qubit's index."""
+
+    def measure(self, qubit, choose):
+        return choose(BOUNDARY_P1[qubit], None)
+
+
+@contextlib.contextmanager
+def counted_steps():
+    """Count ShotStreams.random calls on whole arrays and on index arrays or rows."""
+    steps = {"whole": 0, "rows": 0}
+    real_random = interpreter.ShotStreams.random
+
+    def random(streams, rows):
+        steps["whole" if isinstance(rows, slice) else "rows"] += 1
+        return real_random(streams, rows)
+
+    with mock.patch.object(interpreter.ShotStreams, "random", random):
+        yield steps
+
+
+@pytest.mark.parametrize("max_table_bytes", [interpreter.MAX_DRAW_TABLE_BYTES, 0])
+def test_fixed_draws_take_their_outcome_and_doubtful_ones_draw(max_table_bytes):
+    n = len(BOUNDARY_P1)
+    source = program([mz(q, q) for q in range(n)] * 2, n, range(n), n)
+    real_draws, read = interpreter.ShotStreams.draws, set()
+
+    def draws(streams, rows, k):
+        read.add(k)
+        return real_draws(streams, rows, k)
+
+    with mock.patch.dict(backends._BACKENDS, boundary=BoundaryBackend), \
+            mock.patch.object(interpreter.ShotStreams, "draws", draws), \
+            mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", max_table_bytes):
+        doc = json.loads(assert_matches_reference(source, 40, 7, backend_choice="boundary"))
+    assert set(doc["histogram"]) == {"011100", "011101"}  # the second round's outcomes
+    # both rounds draw at 0.9999999999999998, 5e-324 and 0.5, and nowhere else
+    assert read == {k for k in range(2 * n) if 0.0 < BOUNDARY_P1[k % n] < 1.0}
+
+
+def test_a_chunk_steps_its_streams_only_to_the_deepest_doubtful_draw():
+    # teleport's five draws a shot: the resets (draws 1 and 3) measure the
+    # qubit the draw before fixed, and the corrections leave qubit 2, which
+    # draw 4 measures, exactly at |0>; draws 0 and 2 are in doubt
+    module = parse_module(TELEPORT_LL)
+    entry = find_entry(module)
+    with counted_steps() as steps:
+        run_program(module, entry, default_registry(), RunConfig(shots=16384))
+    # four chunks: one seeding step and draws 0-2 each
+    assert steps == {"whole": 16, "rows": 0}
+    with counted_steps() as steps:
+        run_program(module, entry, default_registry(),
+                    RunConfig(shots=16384, backend_choice="trace"))
+    # every p1 the trace backend hands over is 0.0 or 1.0
+    assert steps == {"whole": 4, "rows": 0}
 
 
 def test_a_miss_computes_no_gate_before_its_stored_state():

@@ -7,7 +7,8 @@ straddle 2**32, where a shot index gains a second word, and the run's
 chunk boundaries.  A row stepped alone, as a trie miss steps its lowest
 shot, continues its stream from any routed draws; draws(rows, k) gives the
 same bits from the per-depth table and past it, in the order routing reads
-it; and a run never loads numpy.random.
+it, also where outcomes(rows, k, p1) skips the draws a fixed p1 needs
+none of; and a run never loads numpy.random.
 """
 
 import json
@@ -89,43 +90,63 @@ def test_a_continued_stream_equals_shot_rng_after_routed_draws(seed, first, coun
 
 
 ROUTED_DEPTHS = 6
+FIXED_P1 = st.sampled_from([0.0, 1.0, 1.0000000000000002])
+
+
+def read(streams, rows, k, fixed):
+    """`rows`' k-th uniforms, or None where a `fixed` p1 lets them skip the draw."""
+    if fixed is None:
+        return streams.draws(rows, k)
+    assert streams.outcomes(rows, k, fixed) is (fixed >= 1.0)  # one bool for all rows
+    return None
 
 
 @settings(max_examples=100, deadline=None)
-@given(SEEDS, FIRST_SHOTS, st.integers(1, 40), st.integers(2, 3), st.data())
+@given(SEEDS, FIRST_SHOTS, st.integers(1, 40), st.integers(0, 3), st.data())
 def test_table_draws_equal_shot_rng_in_routing_order(seed, first, count, depths, data):
     """Random subsets read depth-first, as run_program routes: a part goes
-    deeper while its sibling waits, then reads the shallower depth.  The
-    table ends after `depths` depths, and rows step by themselves past it."""
+    deeper while its sibling waits, then reads the shallower depth.  At
+    each depth a part draws or, where p1 fixes its outcome, skips the draw.
+    The table ends after `depths` depths, and rows step by themselves past
+    it, over the depths they skipped."""
     expected = bits(reference(seed, first, count, ROUTED_DEPTHS))
     streams = ShotStreams(seed, first, count)
-    waiting = [(np.arange(count), 0)]
+    waiting, deepest = [(np.arange(count), 0)], -1
     with mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", depths * count * 8 + 1):
         while waiting:
             rows, k = waiting.pop()
-            assert np.array_equal(bits(streams.draws(rows, k)), expected[rows, k])
+            fixed = data.draw(st.one_of(st.none(), FIXED_P1))
+            got = read(streams, rows, k, fixed)
+            if got is not None:
+                assert np.array_equal(bits(got), expected[rows, k])
+                deepest = max(deepest, k)
             if k + 1 < ROUTED_DEPTHS:
                 mask = data.draw(st.integers(0, 2 ** rows.size - 1))
                 ones = (mask >> np.arange(rows.size) & 1).astype(bool)
                 waiting += [(part, k + 1) for part in (rows[~ones], rows[ones]) if part.size]
-    assert len(streams.table) == depths
+    # the table holds every depth up to the deepest one drawn, within its cut
+    assert len(streams.table) == min(depths, deepest + 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, FIRST_SHOTS, st.integers(2, 32), st.integers(2, 3), st.data())
+@given(SEEDS, FIRST_SHOTS, st.integers(2, 32), st.integers(0, 3), st.data())
 def test_a_row_stepped_past_the_table_leaves_the_others_alone(seed, first, count, depths, data):
-    """A miss's lead row reads by its row number, filling the table, then steps alone."""
+    """A miss's lead row reads by its row number, filling the table, then
+    steps alone; the others read and skip the depths it does."""
     total = depths + 4
     expected = bits(reference(seed, first, count, total))
     streams = ShotStreams(seed, first, count)
     row = np.arange(count)[data.draw(st.integers(0, count - 1))]
     others = np.delete(np.arange(count), row)
+    fixed = data.draw(st.lists(st.one_of(st.none(), FIXED_P1), min_size=total, max_size=total))
+    drawn = [k for k in range(total) if fixed[k] is None]
     with mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", depths * count * 8 + 1):
-        alone = [streams.draws(row, k) for k in range(total)]
-        rest = np.stack([streams.draws(others, k) for k in range(total)], axis=1)
-    assert len(streams.table) == depths
-    assert np.array_equal(bits(alone), expected[row])
-    assert np.array_equal(bits(rest), expected[others])
+        alone = [read(streams, row, k, fixed[k]) for k in range(total)]
+        rest = [read(streams, others, k, fixed[k]) for k in range(total)]
+    assert len(streams.table) == min(depths, max(drawn, default=-1) + 1)
+    assert np.array_equal(bits([alone[k] for k in drawn]), expected[row, drawn])
+    assert np.array_equal(bits(np.reshape([rest[k] for k in drawn], (len(drawn), len(others))).T),
+                          expected[others][:, drawn])
 
 
 # prints whether numpy.random is loaded after `import numpy`, after `qirvm
