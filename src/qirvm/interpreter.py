@@ -4,8 +4,8 @@ A run compiles the entry function once (compile_program) and executes
 its blocks once per trie miss, with a fresh backend, SSA environment,
 result bits and recorder, and an RNG stream derived deterministically from
 (seed, shot_index): shot_rng defines it for one shot, and ShotStreams
-computes each depth's draw for all of a chunk's shots at once within a byte
-budget, so a run never loads numpy.random.  Each measurement owns one
+computes any shot's k-th draw of a chunk directly, by a jump from its seeded
+state, so a run never loads numpy.random.  Each measurement owns one
 uniform, but none is computed where p1 (0, or 1 and above) fixes the
 outcome.  Shots are order-independent: a shot whose outcome history an
 earlier shot already ran reuses that work (see OutcomeTrie), and a group
@@ -36,7 +36,7 @@ DEFAULT_SHOTS = 1024
 SHOT_CHUNK = 1 << 12  # shots routed through the trie together
 
 # Identifies the per-shot stream, numpy PCG64 seeded with SeedSequence([seed, shot_index]):
-# shot_rng defines it; ShotStreams computes it bit for bit, in draw tables or row by row.
+# shot_rng defines it; ShotStreams computes it bit for bit, each draw by a jump.
 RNG_ID = "numpy-pcg64/seedseq[seed,shot]"
 
 
@@ -62,14 +62,13 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, shot_index]))
 
 
-# SeedSequence's hash constants and PCG64's multiplier.  Arrays meet only
-# np.uint32/np.uint64 scalars: numpy 1.x turns uint64 with an int to float64.
+# SeedSequence's hash constants, PCG64's multiplier and its output's shifts.  Arrays
+# meet only np.uint32/np.uint64 scalars: numpy 1.x turns uint64 with an int to float64.
 _M32, _LOW, _S32 = (1 << 32) - 1, np.uint64((1 << 32) - 1), np.uint64(32)
+_S11, _S58, _S63, _S64 = map(np.uint64, (11, 58, 63, 64))
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG_MULT, _M64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1
-_ML, _MH = np.uint64(_PCG_MULT & _M64), np.uint64(_PCG_MULT >> 64)
-_ML0, _ML1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
 
 
 def _hasher(const: int, mult: int):
@@ -83,13 +82,21 @@ def _hasher(const: int, mult: int):
     return hash_words
 
 
+def _times(hi, lo, c_lo, c_lo0, c_lo1, c_hi):
+    """(hi, lo) * c mod 2**128, for c's low word, the low word's 32-bit halves, c's high word."""
+    lo0, lo1 = lo & _LOW, lo >> _S32  # the high word of lo * c_lo, over 32-bit limbs
+    cross = lo0 * c_lo1 + (lo0 * c_lo0 >> _S32)
+    cross2 = lo1 * c_lo0 + (cross & _LOW)
+    return hi * c_lo + lo * c_hi + lo1 * c_lo1 + (cross >> _S32) + (cross2 >> _S32), lo * c_lo
+
+
 class ShotStreams:
     """The streams of shot_rng(seed, i) for shots first..first+count-1.
 
     Redoes SeedSequence([seed, i]) and PCG64's seeding in uint32/uint64
-    arrays, one row per shot, 128-bit values as (hi, lo) pairs.  Each row's
-    draws equal those of shot_rng(seed, first + row).random(), bit for bit,
-    whether read from the table, stepped alone or in an index array.
+    arrays, one row per shot, 128-bit values as (hi, lo) pairs.  Nothing
+    changes after seeding: draws(rows, k) equals the k-th draw of
+    shot_rng(seed, first + row).random(), bit for bit, for any rows and k.
     """
 
     def __init__(self, seed: int, first: int, count: int):
@@ -113,14 +120,13 @@ class ShotStreams:
         # generate_state(4, uint64): 8 words hashed from the pool, cycled
         words = (word.astype(np.uint64) for word in map(_hasher(_INIT_B, _MULT_B), pool * 2))
         seed_hi, seed_lo, seq_hi, seq_lo = (w0 | w1 << _S32 for w0, w1 in zip(words, words))
-        # PCG64 srandom: inc = 2 * initseq + 1, step, add the seed, step
+        # PCG64 srandom: inc = 2 * initseq + 1, step, add the seed, step; the
+        # state kept is inc + seed, before that last step
         self.inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
         self.inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
         self.lo = self.inc_lo + seed_lo
         self.hi = self.inc_hi + seed_hi + (self.lo < seed_lo)
-        self.random(slice(None))
-        self.table = []  # table[k]: every row's k-th uniform
-        self.next = np.zeros(count, np.int64)  # each row's next draw, once past the table
+        self.jumps = {}  # k: _times's limbs of A, then of C, for each draw index k read
 
     def outcomes(self, rows, k: int, p1: float):
         """Whether each of `rows` draws 1 at its k-th draw (uniform < p1), or one bool for all.
@@ -130,38 +136,29 @@ class ShotStreams:
         """
         return self.draws(rows, k) < p1 if 0.0 < p1 < 1.0 else p1 >= 1.0
 
-    def draws(self, rows, k: int):
-        """The k-th uniform (from 0) of each of `rows`, which read increasing k.
-
-        Reading depth k steps all rows through every depth up to k not yet
-        in the table, keeping their uniforms while the table stays below
-        MAX_DRAW_TABLE_BYTES.  Past it, a group's rows, which share their
-        history, step alone from max(next, len(table)) to draw k.
-        """
-        table = self.table
-        while len(table) <= k and (len(table) + 1) * self.lo.nbytes < MAX_DRAW_TABLE_BYTES:
-            table.append(self.random(slice(None)))
-        if k < len(table):
-            return table[k][rows]
-        for _ in range(k - max(self.next[rows if np.isscalar(rows) else rows[0]], len(table))):
-            self.random(rows)
-        self.next[rows] = k + 1
-        return self.random(rows)
-
     @np.errstate(over="ignore")  # a row index gives numpy scalars, which warn when they wrap
-    def random(self, rows):
-        """Step `rows` (state = state * _PCG_MULT + inc) and return their next uniforms."""
-        hi, lo, inc_lo = self.hi[rows], self.lo[rows], self.inc_lo[rows]
-        lo0, lo1 = lo & _LOW, lo >> _S32  # the high word of lo * _ML, over 32-bit limbs
-        cross = lo0 * _ML1 + (lo0 * _ML0 >> _S32)
-        cross2 = lo1 * _ML0 + (cross & _LOW)
-        hi = hi * _ML + lo * _MH + lo1 * _ML1 + (cross >> _S32) + (cross2 >> _S32)
-        lo = lo * _ML + inc_lo
-        hi += self.inc_hi[rows] + (lo < inc_lo)  # and the carry out of lo
-        self.hi[rows], self.lo[rows] = hi, lo
-        bits, rotation = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
-        bits = (bits >> rotation) | (bits << ((np.uint64(64) - rotation) & np.uint64(63)))
-        return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    def draws(self, rows, k: int):
+        """The k-th uniform (from 0) of each of `rows`, for rows and k in any order.
+
+        PCG64 steps, then outputs, so draw k is the XSL-RR output of the
+        state m = k + 2 steps past inc + seed (srandom's last step, then one
+        per draw).  m steps of state * a + inc give state * A + inc * C, with
+        A = a**m and C = 1 + a + ... + a**(m-1) mod 2**128 (Brown, "Random
+        Number Generation with Arbitrary Strides", 1994), kept per k.
+        """
+        if k not in self.jumps:
+            mult = pow(_PCG_MULT, k + 2, 1 << 128)
+            add = (pow(_PCG_MULT, k + 2, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
+            self.jumps[k] = tuple(np.uint64(limb) for const in (mult, add) for limb in (
+                const & _M64, const & _M32, const >> 32 & _M32, const >> 64))
+        a_lo, a_lo0, a_lo1, a_hi, c_lo, c_lo0, c_lo1, c_hi = self.jumps[k]
+        hi, lo = _times(self.hi[rows], self.lo[rows], a_lo, a_lo0, a_lo1, a_hi)
+        inc_hi, inc_lo = _times(self.inc_hi[rows], self.inc_lo[rows], c_lo, c_lo0, c_lo1, c_hi)
+        lo += inc_lo
+        hi += inc_hi + (lo < inc_lo)  # and the carry out of lo
+        bits, rotation = hi ^ lo, hi >> _S58  # XSL-RR output
+        bits = (bits >> rotation) | (bits << ((_S64 - rotation) & _S63))
+        return (bits >> _S11).astype(np.float64) * 2.0 ** -53
 
 
 # Shot branching.  The gates a shot applies between two measurements depend
@@ -174,7 +171,6 @@ class ShotStreams:
 # from them draws the same outcomes.
 MAX_TRIE_NODES = 1 << 16
 MAX_STORED_AMPLITUDES = 1 << 16
-MAX_DRAW_TABLE_BYTES = 1 << 20  # per chunk: 31 depths of 4,096 rows, 2,730 of 48
 
 
 class _Node:
@@ -392,7 +388,7 @@ def run_program(
             raise RuntimeFault(f"shot {first + fault[0]}: {fault[1]}") from fault[1]
         taken.sort(key=lambda group: group[0][0])
         histogram.add_groups(taken, count)
-        del streams  # its table and state go before the next chunk's are computed
+        del streams  # its arrays go before the next chunk's are computed
 
     return histogram.result(
         program_name=module.source_name or entry.function_name,

@@ -261,9 +261,7 @@ def feed_forward_programs(draw):
 
 # Small budgets make misses replay from an ancestor's stored state, or from
 # |0...0>, and stop the trie growing partway through a run.  A small chunk
-# makes runs of up to 64 shots cross several chunk boundaries.  A 100-byte draw
-# table holds two depths of a 5-shot chunk, one of up to 12 shots and none of
-# a larger one, so rows step by themselves past it.
+# makes runs of up to 64 shots cross several chunk boundaries.
 SMALL_CHUNK = 5
 
 
@@ -271,13 +269,11 @@ SMALL_CHUNK = 5
 @given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
        st.sampled_from([interpreter.MAX_STORED_AMPLITUDES, 32, 8, 0]),
        st.sampled_from([interpreter.MAX_TRIE_NODES, 3]),
-       st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]),
-       st.sampled_from([interpreter.MAX_DRAW_TABLE_BYTES, 100, 0]))
+       st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]))
 def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes,
-                                           chunk, max_table_bytes):
+                                           chunk):
     with mock.patch.multiple(interpreter, MAX_STORED_AMPLITUDES=max_amplitudes,
-                             MAX_TRIE_NODES=max_nodes, SHOT_CHUNK=chunk,
-                             MAX_DRAW_TABLE_BYTES=max_table_bytes):
+                             MAX_TRIE_NODES=max_nodes, SHOT_CHUNK=chunk):
         assert_matches_reference(source, shots, seed)
 
 
@@ -397,18 +393,15 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
     assert trie.nodes > 0 and not trie.stored
 
 
-# prints the tracemalloc peak of a warm run_program of the program on stdin,
-# with the draw table or ("no-table") with each group stepping its rows by
-# themselves.  Each peak is taken in a fresh process with the collector off:
-# in a used one, Python's free lists hand out objects that tracemalloc never
-# sees allocated, so a peak there depends on what ran before.
+# prints the tracemalloc peak of a warm run_program of the program on stdin
+# at argv[1] shots.  Each peak is taken in a fresh process with the collector
+# off: in a used one, Python's free lists hand out objects that tracemalloc
+# never sees allocated, so a peak there depends on what ran before.
 TRACED_PEAK = """
 import gc, sys, tracemalloc
-from qirvm import RunConfig, default_registry, find_entry, interpreter, parse_module, run_program
-if sys.argv[1] == "no-table":
-    interpreter.ShotStreams.outcomes = lambda streams, rows, k, p1: streams.random(rows) < p1
+from qirvm import RunConfig, default_registry, find_entry, parse_module, run_program
 module = parse_module(sys.stdin.read())
-args = module, find_entry(module), default_registry(), RunConfig(shots=4096)
+args = module, find_entry(module), default_registry(), RunConfig(shots=int(sys.argv[1]))
 run_program(*args)
 gc.disable()
 tracemalloc.start()
@@ -417,16 +410,17 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_the_draw_table_bounds_the_peak_of_a_deep_program():
+def test_a_deep_program_peaks_within_a_mebibyte_of_its_64_shot_peak():
     # two histories of 1,001 draws a shot, each in doubt (the ry leaves p1
-    # about 2.5e-19 before each mz of qubit 1): an unbounded table would hold 32 MiB
+    # about 2.5e-19 before each mz of qubit 1): a per-depth table of every
+    # shot's draws would add 32 MiB at 4,096 shots
     nudge = [call("ry", f"double {hexdouble(1e-9)}", qubit(1)), mz(1, 1)]
     source = program([call("h", qubit(0)), mz(0, 0), *nudge * 1000], 2, [0, 1], 2)
     env = dict(os.environ, PYTHONPATH=SRC)
-    with_table, without = (int(subprocess.run(
-        [sys.executable, "-c", TRACED_PEAK, table], input=source, env=env, capture_output=True,
-        text=True, check=True, timeout=120).stdout) for table in ("table", "no-table"))
-    assert with_table <= without + interpreter.MAX_DRAW_TABLE_BYTES
+    few, many = (int(subprocess.run(
+        [sys.executable, "-c", TRACED_PEAK, str(shots)], input=source, env=env,
+        capture_output=True, text=True, check=True, timeout=120).stdout) for shots in (64, 4096))
+    assert many - few < 1 << 20
 
 
 # p1 values at which a draw is fixed (the first three) or in doubt: u < p1
@@ -443,53 +437,45 @@ class BoundaryBackend(TraceBackend):
 
 
 @contextlib.contextmanager
-def counted_steps():
-    """Count ShotStreams.random calls on whole arrays and on index arrays or rows."""
-    steps = {"whole": 0, "rows": 0}
-    real_random = interpreter.ShotStreams.random
-
-    def random(streams, rows):
-        steps["whole" if isinstance(rows, slice) else "rows"] += 1
-        return real_random(streams, rows)
-
-    with mock.patch.object(interpreter.ShotStreams, "random", random):
-        yield steps
-
-
-@pytest.mark.parametrize("max_table_bytes", [interpreter.MAX_DRAW_TABLE_BYTES, 0])
-def test_fixed_draws_take_their_outcome_and_doubtful_ones_draw(max_table_bytes):
-    n = len(BOUNDARY_P1)
-    source = program([mz(q, q) for q in range(n)] * 2, n, range(n), n)
-    real_draws, read = interpreter.ShotStreams.draws, set()
+def read_draws():
+    """Collect the draw indices ShotStreams.draws is called with."""
+    reads = set()
+    real_draws = interpreter.ShotStreams.draws
 
     def draws(streams, rows, k):
-        read.add(k)
+        reads.add(k)
         return real_draws(streams, rows, k)
 
+    with mock.patch.object(interpreter.ShotStreams, "draws", draws):
+        yield reads
+
+
+@pytest.mark.parametrize("chunk", [interpreter.SHOT_CHUNK, SMALL_CHUNK])
+def test_fixed_draws_take_their_outcome_and_doubtful_ones_draw(chunk):
+    n = len(BOUNDARY_P1)
+    source = program([mz(q, q) for q in range(n)] * 2, n, range(n), n)
     with mock.patch.dict(backends._BACKENDS, boundary=BoundaryBackend), \
-            mock.patch.object(interpreter.ShotStreams, "draws", draws), \
-            mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", max_table_bytes):
+            mock.patch.object(interpreter, "SHOT_CHUNK", chunk), read_draws() as reads:
         doc = json.loads(assert_matches_reference(source, 40, 7, backend_choice="boundary"))
     assert set(doc["histogram"]) == {"011100", "011101"}  # the second round's outcomes
     # both rounds draw at 0.9999999999999998, 5e-324 and 0.5, and nowhere else
-    assert read == {k for k in range(2 * n) if 0.0 < BOUNDARY_P1[k % n] < 1.0}
+    assert reads == {k for k in range(2 * n) if 0.0 < BOUNDARY_P1[k % n] < 1.0}
 
 
-def test_a_chunk_steps_its_streams_only_to_the_deepest_doubtful_draw():
+def test_a_chunk_reads_only_its_doubtful_draws():
     # teleport's five draws a shot: the resets (draws 1 and 3) measure the
     # qubit the draw before fixed, and the corrections leave qubit 2, which
     # draw 4 measures, exactly at |0>; draws 0 and 2 are in doubt
     module = parse_module(TELEPORT_LL)
     entry = find_entry(module)
-    with counted_steps() as steps:
+    with read_draws() as reads:
         run_program(module, entry, default_registry(), RunConfig(shots=16384))
-    # four chunks: one seeding step and draws 0-2 each
-    assert steps == {"whole": 16, "rows": 0}
-    with counted_steps() as steps:
+    assert reads == {0, 2}
+    with read_draws() as reads:
         run_program(module, entry, default_registry(),
                     RunConfig(shots=16384, backend_choice="trace"))
     # every p1 the trace backend hands over is 0.0 or 1.0
-    assert steps == {"whole": 4, "rows": 0}
+    assert not reads
 
 
 def test_a_miss_computes_no_gate_before_its_stored_state():

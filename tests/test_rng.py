@@ -4,11 +4,13 @@ Draws are compared as uint64 views, so two floats only match when every
 bit does.  Seeds run from one 32-bit entropy word to seven, so
 SeedSequence's tail mixing (more than four words) runs; shot ranges
 straddle 2**32, where a shot index gains a second word, and the run's
-chunk boundaries.  A row stepped alone, as a trie miss steps its lowest
-shot, continues its stream from any routed draws; draws(rows, k) gives the
-same bits from the per-depth table and past it, in the order routing reads
-it, also where outcomes(rows, k, p1) skips the draws a fixed p1 needs
-none of; and a run never loads numpy.random.
+chunk boundaries.  draws(rows, k) gives the same bits for a lone row, as a
+trie miss reads its lowest shot, and for index arrays, as routing reads a
+group, at any k in any order: in increasing k over all rows, depth-first
+as routing splits groups, for a lone row continued past routed draws and
+at k up to 10**6.  Reads leave no trace on other rows.  outcomes(rows, k,
+p1) computes no draw where a fixed p1 needs none; and a run never loads
+numpy.random.
 """
 
 import json
@@ -16,14 +18,13 @@ import os
 import pathlib
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qirvm import interpreter, shot_rng
+from qirvm import shot_rng
 from qirvm.interpreter import SHOT_CHUNK, ShotStreams
 
 SEEDS = st.one_of(
@@ -35,6 +36,16 @@ FIRST_SHOTS = st.one_of(
     st.integers(2 ** 32 - 40, 2 ** 32 + 8),
     st.integers(1, 4).map(lambda k: k * SHOT_CHUNK - 20),
 )
+MAX_ROWS = 48
+FIXED_P1 = st.sampled_from([0.0, 1.0, 1.0000000000000002])
+# (rows, k, p1): a lone row or an index array (taken mod the row count), a
+# draw index, and None to read draws or a fixed p1 to read outcomes
+READS = st.lists(st.tuples(
+    st.one_of(st.integers(0, MAX_ROWS - 1),
+              st.lists(st.integers(0, MAX_ROWS - 1), min_size=1, max_size=MAX_ROWS)),
+    st.one_of(st.integers(0, 7), st.integers(0, 300)),
+    st.one_of(st.none(), FIXED_P1),
+), min_size=1, max_size=12)
 
 
 def reference(seed, first, count, draws):
@@ -42,38 +53,58 @@ def reference(seed, first, count, draws):
 
 
 def bits(values):
-    return np.ascontiguousarray(values).view(np.uint64)
+    return np.asarray(values).view(np.uint64)
 
 
 @settings(max_examples=150, deadline=None)
-@given(SEEDS, FIRST_SHOTS, st.integers(1, 48), st.integers(1, 4))
+@given(SEEDS, FIRST_SHOTS, st.integers(1, MAX_ROWS), READS)
+@example(seed=2 ** 32 - 1, first=2 ** 32 - 24, count=48,
+         reads=[(list(range(48)), 2, None), (23, 1, None), (list(range(48)), 0, None)])
+@example(seed=3 ** 130, first=2 ** 32 - 24, count=48, reads=[([47, 0, 47], 3, None), (24, 3, 0.0)])
+@example(seed=0, first=0, count=1, reads=[(0, 0, None), (0, 300, 1.0), (0, 300, None)])
+def test_draws_equal_shot_rng_for_any_rows_and_k(seed, first, count, reads):
+    """Random row subsets read random draw indices, decreasing and repeated
+    ones included; a lone row is a numpy scalar, as a miss reads its shot."""
+    expected = bits(reference(seed, first, count, max(k for _, k, _ in reads) + 1))
+    streams = ShotStreams(seed, first, count)
+    for picked, k, fixed in reads:
+        rows = np.arange(count)[picked % count] if isinstance(picked, int) else \
+            np.array(picked) % count
+        if fixed is None:
+            assert np.array_equal(bits(streams.draws(rows, k)), expected[rows, k])
+        else:  # one bool for all rows, so no draw
+            assert streams.outcomes(rows, k, fixed) is (fixed >= 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, FIRST_SHOTS, st.integers(1, MAX_ROWS), st.integers(1, 4))
 @example(seed=2 ** 32 - 1, first=2 ** 32 - 24, count=48, draws=3)
 @example(seed=3 ** 130, first=2 ** 32 - 24, count=48, draws=2)
 @example(seed=0, first=0, count=1, draws=1)
 def test_draws_equal_shot_rng_bit_for_bit(seed, first, count, draws):
     streams = ShotStreams(seed, first, count)
     rows = np.arange(count)
-    got = np.stack([streams.random(rows) for _ in range(draws)], axis=1)
+    got = np.stack([streams.draws(rows, k) for k in range(draws)], axis=1)
     assert np.array_equal(bits(got), bits(reference(seed, first, count, draws)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, FIRST_SHOTS, st.data())
-def test_advancing_some_rows_leaves_the_others_alone(seed, first, data):
+def test_reading_some_rows_leaves_every_stream_as_seeded(seed, first, data):
+    """A group reads draw 0 and a miss's lone row reads on from its next
+    draw; afterwards every row still reads draws 0-4 of its own stream."""
     count = data.draw(st.integers(1, 32))
     advanced = np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
     row = data.draw(st.integers(0, count - 1))
-    expected = reference(seed, first, count, 5)
+    expected = bits(reference(seed, first, count, 5))
     streams = ShotStreams(seed, first, count)
-    head = streams.random(np.flatnonzero(advanced))
-    # a trie miss steps its row alone, by its row number
-    taken = advanced.astype(int)
-    alone = [streams.random(row) for _ in range(3)]
-    assert np.array_equal(bits(alone), bits(expected[row, taken[row]:taken[row] + 3]))
-    taken[row] += 3
-    after = streams.random(np.arange(count))
-    assert np.array_equal(bits(head), bits(expected[advanced, 0]))
-    assert np.array_equal(bits(after), bits(expected[np.arange(count), taken]))
+    head = streams.draws(np.flatnonzero(advanced), 0)
+    start = int(advanced[row])
+    alone = [streams.draws(row, k) for k in range(start, start + 3)]
+    after = np.stack([streams.draws(np.arange(count), k) for k in range(5)], axis=1)
+    assert np.array_equal(bits(head), expected[advanced, 0])
+    assert np.array_equal(bits(alone), expected[row, start:start + 3])
+    assert np.array_equal(bits(after), expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,16 +112,15 @@ def test_advancing_some_rows_leaves_the_others_alone(seed, first, data):
 def test_a_continued_stream_equals_shot_rng_after_routed_draws(seed, first, count, data):
     routed = data.draw(st.integers(0, 6))
     streams = ShotStreams(seed, first, count)
-    for _ in range(routed):
-        streams.random(np.arange(count))
+    for k in range(routed):
+        streams.draws(np.arange(count), k)
     row = data.draw(st.integers(0, count - 1))
-    continued = [streams.random(row) for _ in range(64)]
+    continued = [streams.draws(row, k) for k in range(routed, routed + 64)]
     expected = shot_rng(seed, first + row).random(routed + 64)[routed:]
     assert np.array_equal(bits(continued), bits(expected))
 
 
 ROUTED_DEPTHS = 6
-FIXED_P1 = st.sampled_from([0.0, 1.0, 1.0000000000000002])
 
 
 def read(streams, rows, k, fixed):
@@ -102,51 +132,33 @@ def read(streams, rows, k, fixed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(SEEDS, FIRST_SHOTS, st.integers(1, 40), st.integers(0, 3), st.data())
-def test_table_draws_equal_shot_rng_in_routing_order(seed, first, count, depths, data):
+@given(SEEDS, FIRST_SHOTS, st.integers(1, 40), st.data())
+def test_draws_equal_shot_rng_in_routing_order(seed, first, count, data):
     """Random subsets read depth-first, as run_program routes: a part goes
     deeper while its sibling waits, then reads the shallower depth.  At
-    each depth a part draws or, where p1 fixes its outcome, skips the draw.
-    The table ends after `depths` depths, and rows step by themselves past
-    it, over the depths they skipped."""
+    each depth a part draws or, where p1 fixes its outcome, skips the draw."""
     expected = bits(reference(seed, first, count, ROUTED_DEPTHS))
     streams = ShotStreams(seed, first, count)
-    waiting, deepest = [(np.arange(count), 0)], -1
-    with mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", depths * count * 8 + 1):
-        while waiting:
-            rows, k = waiting.pop()
-            fixed = data.draw(st.one_of(st.none(), FIXED_P1))
-            got = read(streams, rows, k, fixed)
-            if got is not None:
-                assert np.array_equal(bits(got), expected[rows, k])
-                deepest = max(deepest, k)
-            if k + 1 < ROUTED_DEPTHS:
-                mask = data.draw(st.integers(0, 2 ** rows.size - 1))
-                ones = (mask >> np.arange(rows.size) & 1).astype(bool)
-                waiting += [(part, k + 1) for part in (rows[~ones], rows[ones]) if part.size]
-    # the table holds every depth up to the deepest one drawn, within its cut
-    assert len(streams.table) == min(depths, deepest + 1)
+    waiting = [(np.arange(count), 0)]
+    while waiting:
+        rows, k = waiting.pop()
+        got = read(streams, rows, k, data.draw(st.one_of(st.none(), FIXED_P1)))
+        if got is not None:
+            assert np.array_equal(bits(got), expected[rows, k])
+        if k + 1 < ROUTED_DEPTHS:
+            mask = data.draw(st.integers(0, 2 ** rows.size - 1))
+            ones = (mask >> np.arange(rows.size) & 1).astype(bool)
+            waiting += [(part, k + 1) for part in (rows[~ones], rows[ones]) if part.size]
 
 
-@settings(max_examples=60, deadline=None)
-@given(SEEDS, FIRST_SHOTS, st.integers(2, 32), st.integers(0, 3), st.data())
-def test_a_row_stepped_past_the_table_leaves_the_others_alone(seed, first, count, depths, data):
-    """A miss's lead row reads by its row number, filling the table, then
-    steps alone; the others read and skip the depths it does."""
-    total = depths + 4
-    expected = bits(reference(seed, first, count, total))
-    streams = ShotStreams(seed, first, count)
-    row = np.arange(count)[data.draw(st.integers(0, count - 1))]
-    others = np.delete(np.arange(count), row)
-    fixed = data.draw(st.lists(st.one_of(st.none(), FIXED_P1), min_size=total, max_size=total))
-    drawn = [k for k in range(total) if fixed[k] is None]
-    with mock.patch.object(interpreter, "MAX_DRAW_TABLE_BYTES", depths * count * 8 + 1):
-        alone = [read(streams, row, k, fixed[k]) for k in range(total)]
-        rest = [read(streams, others, k, fixed[k]) for k in range(total)]
-    assert len(streams.table) == min(depths, max(drawn, default=-1) + 1)
-    assert np.array_equal(bits([alone[k] for k in drawn]), expected[row, drawn])
-    assert np.array_equal(bits(np.reshape([rest[k] for k in drawn], (len(drawn), len(others))).T),
-                          expected[others][:, drawn])
+@settings(max_examples=30, deadline=None)
+@given(SEEDS, FIRST_SHOTS, st.integers(0, 10 ** 6))
+@example(seed=2 ** 150 + 12345, first=2 ** 32 - 2, k=10 ** 6)
+def test_a_far_draw_equals_shot_rng(seed, first, k):
+    """Draw k up to 10**6, far past the depths a run routes, from one jump."""
+    streams = ShotStreams(seed, first, 3)
+    expected = [shot_rng(seed, first + row).random(k + 1)[k] for row in range(3)]
+    assert np.array_equal(bits(streams.draws(np.arange(3), k)), bits(expected))
 
 
 # prints whether numpy.random is loaded after `import numpy`, after `qirvm
