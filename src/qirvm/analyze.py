@@ -6,7 +6,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .backends import DEFAULT_MAX_QUBITS
+from .backends import DEFAULT_MAX_QUBITS, lower_gate
 from .errors import AmbiguousEntry, EntryPointError, NoEntry
 from .ir import (
     BoolVar,
@@ -146,7 +146,8 @@ def _call_step(call: Call, registry: Registry, entry: EntryPoint) -> tuple:
         return (Control.FAULT, fault)
     vals = tuple(arg.value for arg in call.args)
     if spec.kind is OpKind.GATE:
-        return (OpKind.GATE, spec.gate_id, vals[: spec.num_params], vals[spec.num_params :])
+        return (OpKind.GATE, lower_gate(spec.gate_id, vals[: spec.num_params],
+                                        vals[spec.num_params :], entry.num_qubits))
     if spec.kind is OpKind.READ_RESULT:
         return (OpKind.READ_RESULT, vals[0], call.result_var)
     return (spec.kind, *vals)
@@ -157,17 +158,17 @@ def compile_program(module: ProgramModule, entry: EntryPoint, registry: Registry
 
     Block i holds one step per instruction of block i.  A call step is
     its operation's OpKind followed by constant operand values:
-    (GATE, gate_id, params, targets), (MEASURE, qubit, result),
+    (GATE, lower_gate's Gate), (MEASURE, qubit, result),
     (RESET, qubit), (READ_RESULT, result, SSA name),
     (RECORD_ARRAY, length, label), (RECORD_RESULT, result, label) or
     (INITIALIZE, label).  Other steps are Control codes.
 
     Call operands in the base profile are constants (only branch conditions
-    read SSA values), so each call's OpSpec and operand values and each
-    branch target are fixed here, once.  This is the one place that decides
-    whether a call can run: one that cannot (see _call_fault) becomes a
-    FAULT step, raised only when a shot reaches it, and validate_profile
-    reports the same message.
+    read SSA values), so each call's OpSpec and operand values, each gate's
+    kernel form and axes (lower_gate) and each branch target are fixed here,
+    once.  This is the one place that decides whether a call can run: one
+    that cannot (see _call_fault) becomes a FAULT step, raised only when a
+    shot reaches it, and validate_profile reports the same message.
     """
     fn = module.function(entry.function_name)
     index = {block.label: i for i, block in enumerate(fn.blocks)}

@@ -3,12 +3,14 @@
 A backend instance is exclusively owned by a single shot execution: the
 interpreter gets a fresh instance from the factory per trie miss.  Basis
 convention: qubit i is bit i of the little-endian amplitude index.
-The protocol: allocate(n, state=None), apply_gate, measure(qubit, choose)
-and reset(qubit, choose).  A backend holds no RNG and no trie: the
-interpreter's draw choose(p1, amplitudes) returns each outcome.
+The protocol: allocate(n, state=None), apply_gate(gate) of a lower_gate
+Gate, measure(qubit, choose) and reset(qubit, choose).  A backend holds no
+RNG or trie: the interpreter's draw choose(p1, amplitudes) returns each outcome.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,9 +25,9 @@ class StatevectorBackend:
     """Exact simulation over all 2^n complex amplitudes.
 
     Gates update the state in place as 2x2 matrices on pairs of slices
-    (`_apply_2x2`, through the two `scratch` rows), since a fresh state per
-    gate ties the speed to the C heap's layout; only rzz, zz and xx build
-    one (`_apply_matrix`).  README, Gate kernels, lists the forms.
+    (through the four `scratch` rows), since a fresh state per gate ties
+    the speed to the C heap's layout; only rzz, zz and xx build one
+    (`_apply_matrix`).  README, Gate kernels, lists the forms.
 
     `fixed` maps each qubit known to be in a basis state (from allocate,
     mz or reset, until a gate targets it) to its bit: every amplitude with
@@ -51,7 +53,7 @@ class StatevectorBackend:
                 f"{num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
             )
         self.n = num_qubits
-        self.scratch = np.empty((2, 2 ** max(num_qubits - 1, 0)), dtype=complex)
+        self.scratch = np.empty((4, 2 ** max(num_qubits - 1, 0)), dtype=complex)
         if state is None:
             self.amplitudes = np.zeros(2 ** max(num_qubits, 0), dtype=complex)
             self.amplitudes[0] = 1.0
@@ -60,8 +62,8 @@ class StatevectorBackend:
             self.amplitudes = state.copy()
             self.fixed = {}
 
-    def apply_gate(self, gate_id: GateId, params, targets):
-        """Apply a gate to distinct in-range targets, as compile_program checks.
+    def apply_gate(self, gate: Gate):
+        """Apply a gate lowered by lower_gate for this run's n.
 
         The targets leave `fixed`.  A one-qubit or paired gate indexes every
         other fixed qubit's axis at its bit, so it computes only the pairs
@@ -69,29 +71,21 @@ class StatevectorBackend:
         alone, so those get the bits a full-state kernel gives them.
         """
         n, fixed = self.n, self.fixed
-        for q in targets:
+        for q in gate.targets:
             fixed.pop(q, None)
-        if len(targets) == 1:
-            matrix, axes, zero_bits, one_bits = gate_matrix(gate_id, params), targets, (0,), (1,)
-        elif gate_id in _PAIRED:
-            matrix, axes, zero_bits = gate_matrix(_PAIRED[gate_id]), targets[-2:], (1, 0)
-            one_bits = (0, 1) if gate_id is GateId.SWAP else (1, 1)
-        else:
-            self.amplitudes = _apply_matrix(self.amplitudes, gate_matrix(gate_id, params),
-                                            targets, n)
+        if gate.kernel is _apply_matrix:
+            self.amplitudes = _apply_matrix(self.amplitudes, gate.coefficients, gate.targets, n)
             return
         psi = self.amplitudes.reshape([2] * n)
         idx = [slice(None)] * n
         for q, bit in fixed.items():
             idx[n - 1 - q] = bit
-        for q in targets[:-2]:  # ccnot's first control
-            idx[n - 1 - q] = 1
         halves = []
-        for bits in zero_bits, one_bits:
-            for q, bit in zip(axes, bits):
-                idx[n - 1 - q] = bit
+        for bits in gate.zero_bits, gate.one_bits:
+            for axis, bit in zip(gate.axes, bits):
+                idx[axis] = bit
             halves.append(psi[(*idx, ...)])  # `...` keeps a view when every axis is indexed
-        _apply_2x2(*halves, matrix, self.scratch)
+        gate.kernel(*halves, gate.coefficients, self.scratch)
 
     def _prob_one(self, qubit: int) -> float:
         # view with the measured qubit as the middle axis
@@ -117,7 +111,7 @@ class StatevectorBackend:
 
     def reset(self, qubit: int, choose):
         if self.measure(qubit, choose) == 1:
-            self.apply_gate(GateId.X, (), (qubit,))
+            self.apply_gate(_RESET_X._replace(targets=(qubit,), axes=(self.n - 1 - qubit,)))
             self.fixed[qubit] = 0
 
 
@@ -128,35 +122,66 @@ _PAIRED = {GateId.CNOT: GateId.X, GateId.CCNOT: GateId.X, GateId.CY: GateId.Y,
            GateId.CZ: GateId.Z, GateId.SWAP: GateId.X}
 
 
-def _apply_2x2(zero: np.ndarray, one: np.ndarray, matrix: np.ndarray, scratch: np.ndarray):
-    """Apply a 2x2 matrix in place to the views `zero` and `one` of a state.
+class Gate(NamedTuple):
+    """A gate call site lowered for a run of n qubits; see lower_gate."""
 
-    A diagonal matrix is two in-place multiplies, an antidiagonal one a
-    multiply per half through a `scratch` row, any other m0*zero + m1*one.
-    The bits are the allocating formula's, but for the sign of exact zeros.
-    Every multiply puts the scalar first, as the formula does, and none
-    works in place on one element or, but by the exact 1 and +-i, reads
-    `zero` into `one`: numpy rounds each of those differently.
-    """
-    size = zero.size
-    if matrix[0, 1] == 0 and matrix[1, 0] == 0 and size > 1:
-        np.multiply(matrix[0, 0], zero, out=zero)
-        np.multiply(matrix[1, 1], one, out=one)
-        return
-    new_zero = scratch[0, :size].reshape(zero.shape)
-    if matrix[0, 0] == 0 and matrix[1, 1] == 0:
-        np.multiply(matrix[0, 1], one, out=new_zero)
-        np.multiply(matrix[1, 0], zero, out=one)
-        zero[...] = new_zero
-        return
-    term = scratch[1, :size].reshape(zero.shape)
-    np.multiply(matrix[0, 0], zero, out=new_zero)
-    np.multiply(matrix[0, 1], one, out=term)
-    np.add(new_zero, term, out=new_zero)
-    np.multiply(matrix[1, 0], zero, out=term)
+    gate_id: GateId  # gate_id, params and targets are what TraceBackend logs
+    params: tuple
+    targets: tuple
+    kernel: Callable  # _diagonal, _antidiagonal, _general or _apply_matrix
+    coefficients: object  # a 2x2 form's (m00, m01, m10, m11); _apply_matrix's matrix
+    axes: tuple = ()  # the axis n - 1 - q of each target, controls first
+    zero_bits: tuple = ()  # the bit of each axis on the zero half
+    one_bits: tuple = ()  # and on the one half; a control is 1 on both
+
+
+def lower_gate(gate_id: GateId, params, targets, n: int) -> Gate:
+    """The Gate of a call site on n qubits; compile_program, having checked
+    the targets, lowers each site once per run."""
+    if len(targets) > 1 and gate_id not in _PAIRED:
+        return Gate(gate_id, params, targets, _apply_matrix, gate_matrix(gate_id, params))
+    m = tuple(gate_matrix(_PAIRED.get(gate_id, gate_id), params).flat)
+    kernel = _diagonal if m[1] == m[2] == 0 else _antidiagonal if m[0] == m[3] == 0 else _general
+    controls = (1,) * (len(targets) - 1)  # 1 on both halves
+    bits = ((1, 0), (0, 1)) if gate_id is GateId.SWAP else (controls + (0,), controls + (1,))
+    return Gate(gate_id, params, targets, kernel, m, tuple(n - 1 - q for q in targets), *bits)
+
+
+# The 2x2 kernels apply m = (m00, m01, m10, m11) in place to the views `zero`
+# and `one` of a state, with the bits of the allocating formula but for the
+# sign of exact zeros.  Every multiply puts the scalar first, as the formula
+# does, and none works in place on one element or, but by the exact 1 and
+# +-i, reads `zero` into `one`: numpy rounds each of those differently.  The
+# general form copies each half into a contiguous `scratch` row and each
+# result back once, where a ufunc would buffer a strided view on every call.
+
+def _diagonal(zero: np.ndarray, one: np.ndarray, m: tuple, scratch: np.ndarray):
+    if zero.size == 1:  # not in place on one element
+        return _general(zero, one, m, scratch)
+    np.multiply(m[0], zero, out=zero)
+    np.multiply(m[3], one, out=one)
+
+
+def _antidiagonal(zero: np.ndarray, one: np.ndarray, m: tuple, scratch: np.ndarray):
+    new_zero = scratch[0, :zero.size].reshape(zero.shape)
+    np.multiply(m[1], one, out=new_zero)
+    np.multiply(m[2], zero, out=one)
     zero[...] = new_zero
-    np.multiply(matrix[1, 1], one, out=new_zero)
-    np.add(term, new_zero, out=one)
+
+
+def _general(zero: np.ndarray, one: np.ndarray, m: tuple, scratch: np.ndarray):
+    # rows of shape (1, *zero.shape), which stay arrays where zero is 0-d
+    old_zero, old_one, left, right = scratch[:, :zero.size].reshape((4, 1, *zero.shape))
+    old_zero[...] = zero
+    old_one[...] = one
+    np.multiply(m[0], old_zero, out=left)
+    np.multiply(m[1], old_one, out=right)
+    np.add(left, right, out=left)
+    zero[...] = left
+    np.multiply(m[2], old_zero, out=left)
+    np.multiply(m[3], old_one, out=right)
+    np.add(left, right, out=right)
+    one[...] = right
 
 
 def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:
@@ -166,16 +191,9 @@ def _apply_matrix(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.
     complex numbers, and BLAS may round `matrix @ psi` differently from
     elementwise multiplies, so moving them would change result bits.
     """
-    k = len(targets)
-    axes = [n - 1 - q for q in targets]  # axis order matches matrix bit order
-    rest = [a for a in range(n) if a not in axes]
-    perm = axes + rest
-    inverse = [0] * n
-    for i, p in enumerate(perm):
-        inverse[p] = i
-    psi = state.reshape([2] * n).transpose(perm).reshape(2 ** k, -1)
-    psi = matrix @ psi
-    return psi.reshape([2] * n).transpose(inverse).reshape(-1)
+    k, axes = len(targets), [n - 1 - q for q in targets]  # axis order is matrix bit order
+    psi = np.moveaxis(state.reshape([2] * n), axes, range(k)).reshape(2 ** k, -1)
+    return np.moveaxis((matrix @ psi).reshape([2] * n), range(k), axes).reshape(-1)
 
 
 class TraceBackend:
@@ -197,8 +215,8 @@ class TraceBackend:
         self.log = []
         self._measure_cursor = 0
 
-    def apply_gate(self, gate_id: GateId, params, targets):
-        self.log.append((gate_id.value, tuple(params), tuple(targets)))
+    def apply_gate(self, gate: Gate):
+        self.log.append((gate.gate_id.value, tuple(gate.params), tuple(gate.targets)))
 
     def measure(self, qubit: int, choose) -> int:
         if self.measure_bits:
@@ -213,6 +231,7 @@ class TraceBackend:
         self.log.append(("reset", (), (qubit,)))
 
 
+_RESET_X = lower_gate(GateId.X, (), (0,), 1)  # reset's X; it sets the target and axis
 _BACKENDS = {
     "statevector": StatevectorBackend,
     "trace": TraceBackend,

@@ -304,7 +304,7 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
         code, *args = steps[cursor]
         cursor += 1
         if code is OpKind.GATE:
-            backend.apply_gate(*args)
+            backend.apply_gate(args[0])
         elif code is OpKind.MEASURE:
             qubit, result = args
             bits[result] = backend.measure(qubit, choose)

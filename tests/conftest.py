@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qirvm import GateId, RunResult, default_registry, find_entry, gate_matrix, parse_module
+from qirvm.backends import lower_gate
 from qirvm.recorder import JSON_SCHEMA_ID
 from qirvm.registry import GATE_SHAPES
 
@@ -115,6 +116,11 @@ def full_matrix(gate: GateId, params=()) -> np.ndarray:
         matrix[-2:, -2:] = gate_matrix(_CONTROLLED[gate])
         return matrix
     return gate_matrix(gate, params)
+
+
+def apply(backend, gate: GateId, params, targets):
+    """backend.apply_gate of the gate lowered for the backend's qubit count."""
+    backend.apply_gate(lower_gate(gate, tuple(params), tuple(targets), backend.n))
 
 
 def allocating_apply(state: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:

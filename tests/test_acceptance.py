@@ -29,6 +29,7 @@ from conftest import (
     QPE_LL,
     TELEPORT_CALLS,
     TELEPORT_LL,
+    apply,
     full_matrix,
     make_program,
     qpe_reference_distribution,
@@ -133,7 +134,7 @@ def test_criterion_5_oracle_equivalence():
             psi = np.zeros(2 ** n, dtype=complex)
             psi[0] = 1.0
             for g, params, targets in random_gate_sequence(rng, n, 200):
-                backend.apply_gate(g, params, targets)
+                apply(backend, g, params, targets)
                 psi = embed_full(full_matrix(g, params), targets, n) @ psi
                 assert abs(np.sum(np.abs(backend.amplitudes) ** 2) - 1.0) < 1e-10
             assert np.max(np.abs(backend.amplitudes - psi)) < 1e-9

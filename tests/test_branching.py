@@ -489,9 +489,9 @@ def test_a_miss_computes_no_gate_before_its_stored_state():
     on_qubit_0 = []
     real_apply = StatevectorBackend.apply_gate
 
-    def apply_gate(backend, gate_id, params, targets):
-        on_qubit_0.extend(q for q in targets if q == 0)
-        real_apply(backend, gate_id, params, targets)
+    def apply_gate(backend, gate):
+        on_qubit_0.extend(q for q in gate.targets if q == 0)
+        real_apply(backend, gate)
 
     with allocated_states() as states, \
             mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
@@ -528,9 +528,9 @@ def gates_per_history_prefix(source, shots, seed):
     events = []
     real_apply, real_measure = StatevectorBackend.apply_gate, StatevectorBackend.measure
 
-    def apply_gate(backend, *args):
+    def apply_gate(backend, gate):
         events.append(None)
-        real_apply(backend, *args)
+        real_apply(backend, gate)
 
     def measure(backend, qubit, choose):
         events.append(real_measure(backend, qubit, choose))
@@ -572,9 +572,9 @@ def test_each_history_prefix_runs_its_gates_once():
     counted = []
     real_apply = StatevectorBackend.apply_gate
 
-    def apply_gate(backend, *args):
-        counted.append(args)
-        real_apply(backend, *args)
+    def apply_gate(backend, gate):
+        counted.append(gate)
+        real_apply(backend, gate)
 
     with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 16 * 4):  # 16 states
         assert_matches_reference(source, shots, seed)

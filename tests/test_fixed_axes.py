@@ -26,9 +26,10 @@ from qirvm import (
     run_program,
 )
 from qirvm import interpreter
+from qirvm.backends import lower_gate
 from qirvm.registry import GATE_SHAPES
 
-from conftest import TELEPORT_LL, allocating_apply, full_matrix
+from conftest import TELEPORT_LL, allocating_apply, apply, full_matrix
 from test_branching import SMALL_CHUNK, call, feed_forward_programs, mz, program, qubit
 from test_statevector import draw
 
@@ -53,9 +54,9 @@ class FullLayoutBackend:
         else:
             self.amplitudes = state.copy()
 
-    def apply_gate(self, gate_id, params, targets):
-        self.amplitudes = allocating_apply(self.amplitudes, full_matrix(gate_id, params),
-                                           targets, self.n)
+    def apply_gate(self, gate):
+        self.amplitudes = allocating_apply(self.amplitudes, full_matrix(gate.gate_id, gate.params),
+                                           gate.targets, self.n)
 
     def measure(self, qubit, choose):
         p1 = prob_one(self.amplitudes, qubit)
@@ -66,7 +67,7 @@ class FullLayoutBackend:
 
     def reset(self, qubit, choose):
         if self.measure(qubit, choose) == 1:
-            self.apply_gate(GateId.X, (), (qubit,))
+            apply(self, GateId.X, (), (qubit,))
 
 
 def assert_same_state(got, want, step):
@@ -89,10 +90,10 @@ class Twin:
         self.oracle.allocate(num_qubits, state)
         self.check(("allocate", num_qubits, state is not None))
 
-    def apply_gate(self, gate_id, params, targets):
-        self.real.apply_gate(gate_id, params, targets)
-        self.oracle.apply_gate(gate_id, params, targets)
-        self.check((gate_id.value, tuple(params), tuple(targets)))
+    def apply_gate(self, gate):
+        self.real.apply_gate(gate)
+        self.oracle.apply_gate(gate)
+        self.check((gate.gate_id.value, gate.params, gate.targets))
 
     def measure(self, qubit, choose):
         return self._draw("measure", qubit, choose)
@@ -162,7 +163,7 @@ def run_steps(n, steps, seed):
         elif step[0] == "reset":
             twin.reset(step[1], choose)
         else:
-            twin.apply_gate(*step)
+            twin.apply_gate(lower_gate(*step, n))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -201,11 +202,11 @@ def test_subnormal_products_of_sy_match_the_oracle():
 
 def sticky_x(real_apply):
     """apply_gate, but an x leaves its target's entry in the map."""
-    def apply_gate(backend, gate_id, params, targets):
+    def apply_gate(backend, gate):
         kept = dict(backend.fixed)
-        real_apply(backend, gate_id, params, targets)
-        if gate_id is GateId.X and targets[0] in kept:
-            backend.fixed[targets[0]] = kept[targets[0]]
+        real_apply(backend, gate)
+        if gate.gate_id is GateId.X and gate.targets[0] in kept:
+            backend.fixed[gate.targets[0]] = kept[gate.targets[0]]
     return apply_gate
 
 
@@ -234,7 +235,7 @@ def recording(outcome=None):
 def test_a_qubit_fixed_at_zero_draws_once_with_p1_zero_and_keeps_the_bits(method):
     backend = StatevectorBackend()
     backend.allocate(3)
-    backend.apply_gate(GateId.RY, (0.7,), (1,))
+    apply(backend, GateId.RY, (0.7,), (1,))
     before = backend.amplitudes.copy()
     choose, calls = recording()
     getattr(backend, method)(2, choose)
@@ -246,8 +247,8 @@ def test_a_qubit_fixed_at_zero_draws_once_with_p1_zero_and_keeps_the_bits(method
 def test_reset_of_a_qubit_measured_as_one_draws_p1_from_the_state():
     backend = StatevectorBackend()
     backend.allocate(2)
-    backend.apply_gate(GateId.RX, (1.1,), (0,))
-    backend.apply_gate(GateId.CNOT, (), (0, 1))
+    apply(backend, GateId.RX, (1.1,), (0,))
+    apply(backend, GateId.CNOT, (), (0, 1))
     assert backend.measure(0, recording(outcome=1)[0]) == 1
     assert backend.fixed == {0: 1}
     expected = FullLayoutBackend()
@@ -269,7 +270,7 @@ def test_a_loaded_state_starts_with_an_empty_map():
     backend = StatevectorBackend()
     backend.allocate(3, state)
     assert backend.fixed == {}
-    backend.apply_gate(GateId.RY, (0.4,), (2,))
+    apply(backend, GateId.RY, (0.4,), (2,))
     expected = allocating_apply(state, full_matrix(GateId.RY, (0.4,)), (2,), 3)
     assert_same_state(backend.amplitudes, expected, "ry")
 

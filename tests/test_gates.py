@@ -12,7 +12,7 @@ from qirvm import (
 )
 from qirvm.registry import GATE_SHAPES
 
-from conftest import full_matrix, make_program
+from conftest import apply, full_matrix, make_program
 
 RNG = np.random.default_rng(1234)
 
@@ -35,7 +35,7 @@ def kernel_matrix(gate_id, params=()):
     for column in np.eye(2 ** k, dtype=complex):
         backend = StatevectorBackend()
         backend.allocate(k, column)
-        backend.apply_gate(gate_id, params, targets)
+        apply(backend, gate_id, params, targets)
         columns.append(backend.amplitudes)
     return np.stack(columns, axis=1)
 

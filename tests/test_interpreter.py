@@ -1,4 +1,8 @@
 import dataclasses
+import pathlib
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +22,10 @@ from qirvm import (
     shot_rng,
     validate_profile,
 )
+from qirvm import backends
 from qirvm.analyze import Control
+from qirvm.ir import Call
+from qirvm.registry import OpKind
 
 from conftest import make_program
 from irprint import render_module, same_records
@@ -333,3 +340,30 @@ def test_statevector_backend_through_interpreter(teleport_module, teleport_entry
     )
     assert len(out.bitstring) == 3
     assert out.bitstring[2] == "0"  # teleported |0> always measures 0
+
+
+def test_each_gate_is_lowered_once_per_run_not_once_per_application(tmp_path):
+    # ffloop-n14 (seed 0, 48 shots) applies 15,070 gates at 408 gate call sites
+    root = pathlib.Path(__file__).parent.parent
+    program = tmp_path / "ffloop.ll"
+    subprocess.run([sys.executable, str(root / "perfbench" / "workloads.py"), "ffloop-n14",
+                    "--seed", "0", str(program)], check=True)
+    module = parse_module(program.read_text())
+    entry, registry = find_entry(module), default_registry()
+    kinds = [registry.resolve(ins.callee).kind
+             for block in module.function(entry.function_name).blocks
+             for ins in block.instructions if isinstance(ins, Call)]
+    sites, resets = kinds.count(OpKind.GATE), kinds.count(OpKind.RESET)
+    real_apply = StatevectorBackend.apply_gate
+    applied = []
+
+    def apply_gate(backend, gate):
+        applied.append(gate)
+        real_apply(backend, gate)
+
+    with mock.patch.object(backends, "gate_matrix", wraps=backends.gate_matrix) as gate_matrix, \
+            mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
+        run_program(module, entry, registry, RunConfig(shots=48, seed=0))
+    assert (sites, resets) == (408, 24)
+    assert len(applied) > 10 * (sites + resets)
+    assert sites <= gate_matrix.call_count <= sites + resets  # once per site, at compile time

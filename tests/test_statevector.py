@@ -17,10 +17,11 @@ from qirvm import (
     run_program,
     validate_profile,
 )
-from qirvm.backends import DEFAULT_MAX_QUBITS
+from qirvm import backends
+from qirvm.backends import DEFAULT_MAX_QUBITS, lower_gate
 from qirvm.registry import GATE_SHAPES
 
-from conftest import allocating_apply, full_matrix, make_program, qpe_reference_distribution
+from conftest import allocating_apply, apply, full_matrix, make_program, qpe_reference_distribution
 
 
 def fresh(n):
@@ -36,20 +37,20 @@ def draw(rng):
 
 def test_hadamard_superposition():
     sv = fresh(1)
-    sv.apply_gate(GateId.H, (), (0,))
+    apply(sv, GateId.H, (), (0,))
     assert np.allclose(sv.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_bell_state():
     sv = fresh(2)
-    sv.apply_gate(GateId.H, (), (0,))
-    sv.apply_gate(GateId.CNOT, (), (0, 1))
+    apply(sv, GateId.H, (), (0,))
+    apply(sv, GateId.CNOT, (), (0, 1))
     assert np.allclose(np.abs(sv.amplitudes) ** 2, [0.5, 0, 0, 0.5])
 
 
 def test_x_then_measure_is_deterministic():
     sv = fresh(1)
-    sv.apply_gate(GateId.X, (), (0,))
+    apply(sv, GateId.X, (), (0,))
     before = sv.amplitudes.copy()
     assert sv.measure(0, draw(np.random.default_rng(0))) == 1
     assert np.allclose(sv.amplitudes, before)
@@ -62,7 +63,7 @@ def test_plus_state_measurement_is_fair():
     for _ in range(trials):
         sv = StatevectorBackend()
         sv.allocate(1)
-        sv.apply_gate(GateId.H, (), (0,))
+        apply(sv, GateId.H, (), (0,))
         ones += sv.measure(0, choose)
     assert 0.48 <= ones / trials <= 0.52
 
@@ -70,16 +71,16 @@ def test_plus_state_measurement_is_fair():
 def test_ghz_measurements_perfectly_correlated():
     for seed in range(50):
         sv, choose = fresh(3), draw(np.random.default_rng(seed))
-        sv.apply_gate(GateId.H, (), (0,))
-        sv.apply_gate(GateId.CNOT, (), (0, 1))
-        sv.apply_gate(GateId.CNOT, (), (1, 2))
+        apply(sv, GateId.H, (), (0,))
+        apply(sv, GateId.CNOT, (), (0, 1))
+        apply(sv, GateId.CNOT, (), (1, 2))
         bits = [sv.measure(0, choose), sv.measure(1, choose), sv.measure(2, choose)]
         assert len(set(bits)) == 1
 
 
 def test_reset_one_to_zero():
     sv = fresh(1)
-    sv.apply_gate(GateId.X, (), (0,))
+    apply(sv, GateId.X, (), (0,))
     sv.reset(0, draw(np.random.default_rng(0)))
     assert np.allclose(np.abs(sv.amplitudes) ** 2, [1, 0])
 
@@ -95,8 +96,8 @@ def test_reset_on_bell_pair_collapses_partner():
     outcomes = set()
     for seed in range(40):
         sv = fresh(2)
-        sv.apply_gate(GateId.H, (), (0,))
-        sv.apply_gate(GateId.CNOT, (), (0, 1))
+        apply(sv, GateId.H, (), (0,))
+        apply(sv, GateId.CNOT, (), (0, 1))
         sv.reset(0, draw(np.random.default_rng(seed)))
         probs = np.abs(sv.amplitudes) ** 2
         # qubit 0 marginal must be exactly |0>
@@ -114,7 +115,7 @@ def test_probabilities_sum_to_one():
     for _ in range(50):
         g = gates_1q[rng.integers(len(gates_1q))]
         params = (rng.uniform(-np.pi, np.pi),) if g is GateId.RX else ()
-        sv.apply_gate(g, params, (int(rng.integers(4)),))
+        apply(sv, g, params, (int(rng.integers(4)),))
         assert abs((np.abs(sv.amplitudes) ** 2).sum() - 1.0) < 1e-10
 
 
@@ -125,17 +126,17 @@ def test_adjoint_cancellation_returns_state():
     ]
     for a, b in pairs:
         sv = fresh(2)
-        sv.apply_gate(GateId.H, (), (0,))
-        sv.apply_gate(GateId.RY, (0.7,), (1,))
+        apply(sv, GateId.H, (), (0,))
+        apply(sv, GateId.RY, (0.7,), (1,))
         before = sv.amplitudes.copy()
-        sv.apply_gate(a, (), (1,))
-        sv.apply_gate(b, (), (1,))
+        apply(sv, a, (), (1,))
+        apply(sv, b, (), (1,))
         assert np.max(np.abs(sv.amplitudes - before)) < 1e-10
     sv = fresh(2)
-    sv.apply_gate(GateId.RY, (0.3,), (0,))
+    apply(sv, GateId.RY, (0.3,), (0,))
     before = sv.amplitudes.copy()
-    sv.apply_gate(GateId.SWAP, (), (0, 1))
-    sv.apply_gate(GateId.SWAP, (), (0, 1))
+    apply(sv, GateId.SWAP, (), (0, 1))
+    apply(sv, GateId.SWAP, (), (0, 1))
     assert np.max(np.abs(sv.amplitudes - before)) < 1e-10
 
 
@@ -237,7 +238,7 @@ def test_random_sequences_match_dense_oracle():
         psi = np.zeros(2 ** n, dtype=complex)
         psi[0] = 1.0
         for g, params, targets in random_gate_sequence(rng, n, 200):
-            sv.apply_gate(g, params, targets)
+            apply(sv, g, params, targets)
             psi = embed_full(full_matrix(g, params), targets, n) @ psi
         assert np.max(np.abs(sv.amplitudes - psi)) < 1e-9
 
@@ -258,7 +259,7 @@ def test_one_qubit_gates_match_the_allocating_formula_bit_for_bit(n):
             zero, one = psi[:, 0, :], psi[:, 1, :]
             expected = np.stack([m[0, 0] * zero + m[0, 1] * one,
                                  m[1, 0] * zero + m[1, 1] * one], axis=1).reshape(-1)
-            sv.apply_gate(gate, params, (q,))
+            apply(sv, gate, params, (q,))
             assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64))
 
 
@@ -277,7 +278,7 @@ def test_every_gate_class_matches_the_allocating_formula_bit_for_bit(n):
         sv = StatevectorBackend()
         sv.allocate(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))  # no zeros
         expected = allocating_apply(sv.amplitudes, full_matrix(gate, params), targets, n)
-        sv.apply_gate(gate, params, targets)
+        apply(sv, gate, params, targets)
         assert np.array_equal(sv.amplitudes.view(np.uint64), expected.view(np.uint64)), \
             (gate, targets)
 
@@ -292,12 +293,65 @@ def test_every_gate_class_matches_the_allocating_formula_after_a_projection(n):
         sv.allocate(n, state / np.linalg.norm(state))
         sv.measure(int(rng.integers(n)), choose)
         expected = allocating_apply(sv.amplitudes, full_matrix(gate, params), targets, n)
-        sv.apply_gate(gate, params, targets)
+        apply(sv, gate, params, targets)
         assert np.array_equal(sv.amplitudes, expected), (gate, targets)
         parts, expected_parts = sv.amplitudes.view(np.float64), expected.view(np.float64)
         nonzero = expected_parts != 0
         assert np.array_equal(parts[nonzero].view(np.uint64),
                               expected_parts[nonzero].view(np.uint64)), (gate, targets)
+
+
+@pytest.mark.parametrize("fixed", [{13: 0}, {}], ids=["qubit 13 fixed at 0", "empty map"])
+def test_one_qubit_gates_and_cnot_match_the_allocating_formula_bit_for_bit_at_14_qubits(fixed):
+    # a half holds 2^12 or 2^13 amplitudes here, so numpy buffers strided
+    # ufunc operands and the general form runs on its contiguous scratch rows
+    n, rng = 14, np.random.default_rng(14)
+    state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    if fixed:
+        state.reshape(2, -1)[1] = 0.0  # qubit 13 is |0>
+    gates = [(g, 1) for g, (_, arity) in GATE_SHAPES.items() if arity == 1]
+    for (gate, arity), q in itertools.product(gates + [(GateId.CNOT, 2)], range(n)):
+        params = tuple(float(x) for x in rng.uniform(-2 * np.pi, 2 * np.pi, GATE_SHAPES[gate][0]))
+        targets = (q,) if arity == 1 else ((q + 1) % n, q)
+        sv = StatevectorBackend()
+        sv.allocate(n, state)
+        sv.fixed = dict(fixed)
+        expected = allocating_apply(state, full_matrix(gate, params), targets, n)
+        apply(sv, gate, params, targets)
+        assert np.array_equal(sv.amplitudes, expected), (gate, targets)
+        # the pairs the map skips keep +0.0, where the formula may compute -0.0
+        parts, expected_parts = sv.amplitudes.view(np.float64), expected.view(np.float64)
+        nonzero = expected_parts != 0
+        assert nonzero.sum() >= 2 ** n  # at least the half the map keeps
+        assert np.array_equal(parts[nonzero].view(np.uint64),
+                              expected_parts[nonzero].view(np.uint64)), (gate, targets)
+
+
+@pytest.mark.parametrize("kernel, gates", [
+    (backends._general, [GateId.H, GateId.SY, GateId.RX, GateId.RY]),
+    (backends._diagonal, [GateId.Z, GateId.S, GateId.T, GateId.RZ, GateId.CZ]),
+    (backends._antidiagonal, [GateId.X, GateId.Y, GateId.CNOT, GateId.CY, GateId.SWAP]),
+    (backends._apply_matrix, [GateId.RZZ, GateId.ZZ, GateId.XX]),
+])
+def test_lower_gate_picks_each_gates_kernel_form(kernel, gates):
+    for gate in gates:
+        num_params, arity = GATE_SHAPES[gate]
+        lowered = lower_gate(gate, (0.3,) * num_params, tuple(range(arity)), 3)
+        assert lowered.kernel is kernel, gate
+        assert (lowered.gate_id, lowered.params, lowered.targets) == (
+            gate, (0.3,) * num_params, tuple(range(arity)))
+
+
+def test_lower_gate_holds_the_axes_and_the_bits_of_each_half():
+    def layout(gate, targets):
+        lowered = lower_gate(gate, (), targets, 3)
+        return lowered.axes, lowered.zero_bits, lowered.one_bits
+
+    assert layout(GateId.H, (1,)) == ((1,), (0,), (1,))
+    assert layout(GateId.CNOT, (0, 2)) == ((2, 0), (1, 0), (1, 1))
+    assert layout(GateId.SWAP, (0, 2)) == ((2, 0), (1, 0), (0, 1))
+    # both controls are 1 on both halves
+    assert layout(GateId.CCNOT, (1, 0, 2)) == ((1, 2, 0), (1, 1, 0), (1, 1, 1))
 
 
 def test_create_backend_factory():
