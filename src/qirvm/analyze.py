@@ -40,8 +40,8 @@ def _is_entry_group(group) -> bool:
     return "entry_point" in group.bare_keys or group.get("EntryPoint") is not None
 
 
-_QUBIT_COUNT_KEYS = ("num_required_qubits", "requiredQubits")
-_RESULT_COUNT_KEYS = ("num_required_results", "requiredResults")
+_QUBIT_COUNT_KEYS = ("required_num_qubits", "num_required_qubits", "requiredQubits")
+_RESULT_COUNT_KEYS = ("required_num_results", "num_required_results", "requiredResults")
 
 
 def _count_from_group(group, keys) -> Optional[int]:

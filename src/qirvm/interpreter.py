@@ -6,14 +6,14 @@ result bits and recorder, and an RNG stream derived deterministically from
 (seed, shot_index): shot_rng defines it for one shot, and ShotStreams
 computes any shot's k-th draw of a chunk directly, by a jump from its seeded
 state, so a run never loads numpy.random.  Each measurement owns one
-uniform, but none is computed where p1 (0, or 1 and above) fixes the
-outcome.  Shots are order-independent: a shot whose outcome history an
-earlier shot already ran reuses that work (see OutcomeTrie), and a group
-that misses runs as one shot, which the others leave where their draws
-differ (see _Miss), so each gets the output it would compute alone.  Only
-this module routes, replays and stores shots.  A shot enters each block
-at most once: a jump or branch into a block it entered faults (see
-execute_shot).
+uniform, but none is computed, and no trie node made, where p1 (0, or 1
+and above) fixes the outcome.  Shots are order-independent: a shot whose
+outcome history an earlier shot already ran reuses that work (see
+OutcomeTrie), and a group that misses runs as one shot, which the others
+leave where their draws differ (see _Miss), so each gets the output it
+would compute alone.  Only this module routes, replays and stores shots.
+A shot enters each block at most once: a jump or branch into a block it
+entered faults (see execute_shot).
 """
 
 from __future__ import annotations
@@ -129,12 +129,8 @@ class ShotStreams:
         self.jumps = {}  # k: _times's limbs of A, then of C, for each draw index k read
 
     def outcomes(self, rows, k: int, p1: float):
-        """Whether each of `rows` draws 1 at its k-th draw (uniform < p1), or one bool for all.
-
-        A p1 not strictly between 0 and 1 gives p1 >= 1.0 for every uniform
-        in [0, 1), NaN included, so no uniform is computed there.
-        """
-        return self.draws(rows, k) < p1 if 0.0 < p1 < 1.0 else p1 >= 1.0
+        """Whether each of `rows` draws 1 at its k-th draw: uniform < p1."""
+        return self.draws(rows, k) < p1
 
     @np.errstate(over="ignore")  # a row index gives numpy scalars, which warn when they wrap
     def draws(self, rows, k: int):
@@ -163,9 +159,10 @@ class ShotStreams:
 
 # Shot branching.  The gates a shot applies between two measurements depend
 # only on the outcomes drawn before them, so a run keeps one trie of outcome
-# histories.  A node is the point just before a measurement draw reached by
-# one history: it holds that draw's p1 and, where shots part and within a
-# budget, the state there and where the shot was.  A leaf holds the output
+# histories.  A node is the point just before a draw in doubt (0 < p1 < 1)
+# reached by one history: it holds that draw's index k and p1 and, where
+# shots part and within a budget, the state there and where the shot was.
+# A draw whose p1 fixes its outcome makes no node.  A leaf holds the output
 # the history records.  Every stored value is what a shot with that history
 # computes from |0...0> by the same float operations, so a shot that resumes
 # from them draws the same outcomes.
@@ -174,11 +171,10 @@ MAX_STORED_AMPLITUDES = 1 << 16
 
 
 class _Node:
-    __slots__ = ("p1", "up", "depth", "state", "resume", "children")
+    __slots__ = ("p1", "k", "up", "state", "resume", "children")
 
-    def __init__(self, p1, up=None):
-        self.p1, self.up = p1, up  # up: the (node, outcome) slot it fills, None at the root
-        self.depth = up[0].depth + 1 if up else 0
+    def __init__(self, p1, k, up=None):  # k: the draw's index; up: the (node, outcome) it fills
+        self.p1, self.k, self.up = p1, k, up
         # if stored: a copy of the amplitudes before the draw, and (steps,
         # cursor, entered blocks, SSA values, result bits, recorder entries,
         # declared length) at the MEASURE/RESET step that draws
@@ -201,7 +197,7 @@ class OutcomeTrie:
     """One run's outcome-history trie; run_program walks it, execute_shot extends it."""
 
     def __init__(self):
-        self.root = _Node(None)  # draws nothing: slot 0 holds the first node or leaf
+        self.root = _Node(None, None)  # draws nothing: slot 0 holds the first node or leaf
         self.nodes, self.stored = 0, {}  # stored: the nodes holding a state, in order
 
     def store(self, node: _Node, amplitudes, resume: tuple, waiting: list):
@@ -215,9 +211,9 @@ class OutcomeTrie:
             return
         if (len(self.stored) + 1) * amplitudes.size > MAX_STORED_AMPLITUDES:
             needed = {walk[0][0] for walk in (_walk(up, slot) for _, up, slot in waiting) if walk}
-            shallowest = min(self.stored, key=lambda old: old.depth, default=node)
+            shallowest = min(self.stored, key=lambda old: old.k, default=node)
             drop = [old for old in self.stored if old not in needed]
-            if not drop and shallowest.depth >= node.depth:
+            if not drop and shallowest.k >= node.k:
                 return
             for old in drop or [shallowest]:
                 del self.stored[old]
@@ -262,12 +258,12 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     run_program passes a _Miss as `rng`: the shot then resumes where its
     walk's first node stored it (the backend holds that state), or starts
     at block 0, takes the walk's outcomes, then draws, adds a node per
-    draw, parting its others there, and seals its leaf.
+    draw in doubt, parting its others there, and seals its leaf.
     """
     miss = rng if isinstance(rng, _Miss) else _Miss(lambda k, p1: rng.random() < p1)
     tail, trie, others, recorder = miss.tail, miss.trie, miss.others, ShotRecorder()
-    drawn = miss.walk[0][0].depth - 1 if miss.walk else 0  # the shot's draws before the next
     start = miss.walk[0][0].resume if miss.walk else None
+    drawn = miss.walk[0][0].k if start else 0  # the shot's draws before the next
     steps, cursor, entered, ssa, bits, entries, recorder.declared_len = start or (
         program[0], 0, {0}, {}, {}, [], None)
     entered, ssa, bits, recorder.entries = set(entered), dict(ssa), dict(bits), list(entries)
@@ -276,6 +272,8 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
     def choose(p1, amplitudes):
         nonlocal tail, others, drawn
         k, drawn = drawn, drawn + 1  # this is the shot's k-th draw (from 0), replayed or not
+        if trie is not None and not 0.0 < p1 < 1.0:  # a miss's fixed draw: no uniform, no node
+            return 1 if p1 >= 1.0 else 0
         outcome = next(replay, None)
         if outcome is not None:
             return outcome
@@ -288,10 +286,10 @@ def execute_shot(program: tuple, backend, rng) -> ShotOutput:
             tail = None
             return outcome
         trie.nodes += 1
-        node = tail[0].children[tail[1]] = _Node(p1, tail)
+        node = tail[0].children[tail[1]] = _Node(p1, k, tail)
         if others.size:
             leave = miss.streams.outcomes(others, k, p1) != outcome
-            if leave is not False and leave.any():  # False where p1 fixes the outcome
+            if leave.any():
                 trie.store(node, amplitudes, (
                     steps, cursor - 1, set(entered), dict(ssa), dict(bits),
                     list(recorder.entries), recorder.declared_len), miss.waiting)
@@ -351,10 +349,10 @@ def run_program(
 
     Shots go through one OutcomeTrie SHOT_CHUNK at a time, in groups on a
     stack, deepest parting first.  A group at a node splits by its
-    ShotStreams.outcomes, or moves as one where p1 fixes them; at a leaf it
-    takes its output; at an empty slot it runs as one _Miss.  A fault is
-    kept if its shot is the lowest yet, misses above that shot are skipped,
-    and the chunk then raises it, so a fault names the lowest faulting shot.
+    ShotStreams.outcomes; at a leaf it takes its output; at an empty slot
+    it runs as one _Miss.  A fault is kept if its shot is the lowest yet,
+    misses above that shot are skipped, and the chunk then raises it, so a
+    fault names the lowest faulting shot.
     """
     program = compile_program(module, entry, registry)
     trie = OutcomeTrie()
@@ -368,10 +366,9 @@ def run_program(
             rows, node, outcome = waiting.pop()
             held = node.children[outcome]
             if isinstance(held, _Node):
-                ones = streams.outcomes(rows, held.depth - 1, held.p1)
-                parts = [(int(ones), rows)] if isinstance(ones, bool) else (
-                    (0, rows[~ones]), (1, rows[ones]))
-                waiting += [(part, held, outcome) for outcome, part in parts if part.size]
+                ones = streams.outcomes(rows, held.k, held.p1)
+                waiting += [(part, held, outcome)
+                            for outcome, part in enumerate((rows[~ones], rows[ones])) if part.size]
             elif held is not None:
                 taken.append((rows, held))
             elif fault is None or rows[0] < fault[0]:

@@ -42,6 +42,20 @@ class TestFindEntry:
         entry = find_entry(parse_module(src))
         assert (entry.num_qubits, entry.num_results) == (4, 2)
 
+    def test_base_profile_count_spelling(self):
+        # the QIR Base Profile's own names; they win over the others
+        src = TELEPORT_LL.replace(
+            '"num_required_qubits"="3" "num_required_results"="3"',
+            '"required_num_qubits"="5" "required_num_results"="4" "num_required_qubits"="3"')
+        entry = find_entry(parse_module(src))
+        assert (entry.num_qubits, entry.num_results) == (5, 4)
+
+    def test_a_function_with_no_attribute_group_is_not_an_entry(self):
+        src = make_program("entry:\n  ret void") + "\ndefine void @helper() {\nentry:\n  ret void\n}\n"
+        module = parse_module(src)
+        assert module.functions[1].attrs is None
+        assert find_entry(module).function_name == "main"
+
     def test_entrypoint_kv_spelling(self):
         src = make_program("entry:\n  ret void", attrs='"EntryPoint"="main"')
         assert find_entry(parse_module(src)).function_name == "main"

@@ -11,6 +11,7 @@ import contextlib
 import json
 import math
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -183,12 +184,19 @@ def feed_forward_programs(draw):
     coin at their end and on 1 jump back to a round-0 block (in round 0,
     to the arm itself), so the shots that jump part there from those that
     do not: the lowest shot to jump is then often one that resumed past
-    that block, not the one that ran first.
+    that block, not the one that ran first.  Some begin with a measurement
+    of a qubit still at |0>, a draw whose p1 fixes it, so the first node's
+    draw index is above 0: a miss that replays from block 0 counts its
+    draws from 0, not from that node's index.
     """
     n = draw(st.integers(1, 4))
     num_results = draw(st.integers(1, 3))
     measured = set()
     angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    first = []
+    if draw(st.booleans()):
+        measured.add(0)
+        first.append(mz(draw(st.integers(0, n - 1)), 0))
 
     def ops():
         lines = []
@@ -224,7 +232,7 @@ def feed_forward_programs(draw):
         # a rotation first, so most branch conditions are random
         return r, [call("ry", f"double {hexdouble(draw(angles))}", qubit(q)), mz(q, r)]
 
-    lines, recorded_before, earlier, labels = ops(), 0, set(), ["entry"]
+    lines, recorded_before, earlier, labels = first + ops(), 0, set(), ["entry"]
     for index in range(draw(st.integers(0, 4))):
         r, measure = measure_random_bit()
         lines += measure
@@ -376,6 +384,43 @@ def captured_trie():
 
     with mock.patch.object(interpreter, "OutcomeTrie", outcome_trie):
         yield tries
+
+
+def test_a_miss_from_block_0_counts_its_fixed_first_draw():
+    # draw 0 (qubit 1 at |0>) is fixed and makes no node, so the first node
+    # is draw 1; with no state stored, the shots that part there replay from
+    # block 0, and their draw 2 must read uniform 2, not uniform 3
+    lines = [mz(1, 0), call("h", qubit(0)), mz(0, 1), call("h", qubit(0)), mz(0, 2)]
+    source = program(lines, 2, [0, 1, 2], 3)
+    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 0), \
+            captured_trie() as tries:
+        for seed in range(4):
+            assert_matches_reference(source, shots=32, seed=seed)
+    assert tries[0].root.children[0].k == 1 and not tries[0].stored
+
+
+def trie_nodes(node):
+    """Every node under `node`, depth first."""
+    return [node] + [below for child in node.children if isinstance(child, interpreter._Node)
+                     for below in trie_nodes(child)]
+
+
+@pytest.mark.parametrize("workload, shots, nodes", [("teleport", 16384, 3),
+                                                    ("ffloop-n14", 48, 1089)])
+def test_every_trie_node_is_a_draw_in_doubt(workload, shots, nodes, tmp_path):
+    # teleport's five draws a shot hold two in doubt: one node for draw 0
+    # and one for draw 2 under each of its outcomes
+    root = pathlib.Path(__file__).parent.parent
+    path = tmp_path / "program.ll"
+    subprocess.run([sys.executable, str(root / "perfbench" / "workloads.py"), workload,
+                    "--seed", "0", str(path)], check=True, cwd=root, capture_output=True)
+    with captured_trie() as tries:
+        run(path.read_text(), shots=shots, seed=0)
+    [trie] = tries
+    got = trie_nodes(trie.root)[1:]
+    assert len(got) == trie.nodes == nodes
+    assert all(0.0 < node.p1 < 1.0 for node in got)
+    assert all(node.k > node.up[0].k for node in got if node.up[0] is not trie.root)
 
 
 def test_state_too_large_to_store_starts_misses_from_zero_state():
@@ -556,9 +601,10 @@ def gates_per_history_prefix(source, shots, seed):
 
 def test_each_history_prefix_runs_its_gates_once():
     # rounds of gates and a coin flip whose outcome picks the next gates;
-    # measuring the coin again adds a node where no shots part, so storing
-    # a state at every node would overrun this budget, but one at every
-    # parting does not
+    # measuring the coin again after a 1 leaves p1 just below 1.0 on some
+    # histories, a node where no shots part (after a 0 it is 0.0, fixed),
+    # so storing a state at every node (24) would overrun this budget, but
+    # one at every parting (15) does not
     lines = []
     for index in range(4):
         lines += [call("ry", f"double {hexdouble(0.3 + index)}", qubit(0)), call("h", qubit(1)),
@@ -586,8 +632,8 @@ def test_each_history_prefix_runs_its_gates_once():
 def test_a_full_budget_gives_a_needed_state_to_a_deeper_parting():
     trie = interpreter.OutcomeTrie()
     nodes = [trie.root]
-    for _ in range(3):
-        nodes.append(interpreter._Node(0.5, (nodes[-1], 0)))
+    for k in range(3):
+        nodes.append(interpreter._Node(0.5, k, (nodes[-1], 0)))
     _, first, second, third = nodes
     amplitudes, rows = np.ones(4, dtype=complex), np.arange(2)
     with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 8):  # two states

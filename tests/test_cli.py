@@ -298,6 +298,10 @@ def test_too_many_qubits_is_validation_error(tmp_path, capsys):
                        attrs=f'"entry_point" "num_required_qubits"="{count}"')
     assert main(["run", write(tmp_path, src), "--validate-only"]) == EX_CONFIG
     assert f"{count} qubits exceeds the maximum" in capsys.readouterr().err
+    # the QIR Base Profile's spelling of the count is checked as well
+    src = TELEPORT_LL.replace('"num_required_qubits"="3"', '"required_num_qubits"="30"')
+    assert main(["run", write(tmp_path, src), "--validate-only"]) == EX_CONFIG
+    assert "30 qubits exceeds the maximum" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

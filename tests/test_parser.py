@@ -10,6 +10,7 @@ from qirvm.ir import (
     Call,
     CondBranch,
     Const,
+    ReturnVoid,
 )
 from qirvm.parser import parse_double_literal
 
@@ -163,6 +164,25 @@ def test_branch_instructions():
     assert isinstance(fn.blocks[1].instructions[-1], Branch)
 
 
+R0 = '@0 = internal constant [3 x i8] c"r0\\00"'
+GEP = "getelementptr inbounds ([3 x i8], [3 x i8]* @0, {0} 0, {0} 0)"
+RECORD_R0 = Call("__quantum__rt__result_record_output",
+                 (Const("result", 0), Const("label", "r0")), None)
+FLAG = '\n!llvm.module.flags = !{!0}\n!0 = !{i32 1, !"qir_major_version", %s}\n'
+
+
+def one_call(text, before=""):
+    """A main that runs `text` (line 9) and returns, with `before` on line 5."""
+    return make_program(f"entry:\n  {text}\n  ret void").replace(
+        "\n\ndefine", f"\n{before}\n\ndefine")
+
+
+def record(label, before=R0):
+    """A main that records result 0 with `label`, after the global `before`."""
+    return one_call(f"call void @__quantum__rt__result_record_output(%Result* null, i8* {label})",
+                    before)
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "instr",
@@ -255,6 +275,51 @@ class TestParseErrors:
                 parse_module(text)
             assert (exc.value.line, exc.value.column) == (line, column)
             assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("source, expected", [
+        # valid: (the entry block's first instruction, the entry's bare attribute keys)
+        (record(GEP.format("i64"), R0 + ", align 1"), (RECORD_R0, {"entry_point"})),
+        (record("@0"), (RECORD_R0, {"entry_point"})),  # a label as a bare global
+        (make_program("entry:\n  ret void", attrs='"entry_point" irreversible'),
+         (ReturnVoid(), {"entry_point", "irreversible"})),
+        # invalid: the message at line:column
+        (make_program("entry:\n  ret void", declarations="declare i64 @f()"),
+         "line 11:9: a declaration must return void or i1"),
+        (make_program("entry:\n  ret void", attrs='"entry_point" 5'),
+         "line 13:33: unexpected token '5' in attribute group"),
+        (make_program("entry:\n  ret void") + FLAG % "double 1.0",
+         "line 17:37: unsupported module-flag value type 'double'"),
+        (make_program("entry:\n  ret void") + "!llvm.ident = !{}\n",
+         "line 15:2: unsupported metadata 'llvm.ident'"),
+        (make_program("entry:\n  ret void").replace("define void", "define i1"),
+         "line 6:8: entry functions must return void"),
+        (make_program("entry:\n  %0 = call void @__quantum__qis__h__body(%Qubit* null)\n"
+                      "  ret void"), "line 8:13: only i1-returning calls may bind a result"),
+        (one_call("call i1 @__quantum__qis__read_result__body(%Result* null)"),
+         "line 9:8: non-void call result must be bound"),
+        (record("5"), "line 9:69: expected a label constant, found '5'"),
+        (one_call("call void @__quantum__qis__rx__body(double 0x12345, %Qubit* null)"),
+         "line 9:46: malformed hex double literal '0x12345'"),
+        (one_call("call void @__quantum__qis__rx__body(double , %Qubit* null)"),
+         "line 9:46: expected a double literal, found ','"),
+        (one_call("call void @__quantum__qis__h__body(void null)"),
+         "line 9:38: unsupported argument type 'void'"),
+        (one_call("call void @__quantum__qis__h__body(%Qubit* inttoptr (i64 -1 to %Qubit*))"),
+         "line 9:60: negative qubit/result index"),
+        (record(GEP.format("i16")), "line 9:117: expected 'i32' or 'i64', found 'i16'"),
+        (record("@nope"), "line 9:69: reference to unknown global @nope"),
+    ], ids=["align", "label-global", "attribute-word", "declare-i64", "attribute-token",
+            "flag-double", "metadata", "define-i1", "void-bound", "i1-unbound", "label-number",
+            "double-malformed", "double-missing", "argument-void", "inttoptr-negative",
+            "gep-i16", "global-unknown"])
+    def test_each_check_of_a_construct(self, source, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as exc:
+                parse_module(source)
+            assert str(exc.value) == expected
+            return
+        fn = parse_module(source).functions[0]
+        assert (fn.blocks[0].instructions[0], fn.attrs.bare_keys) == expected
 
     @pytest.mark.parametrize("indices, bad", [("i64 0, i64 1", "1"), ("i64 7, i64 0.5", "7"),
                                               ("i32 0, i32 0.5", "0.5")])

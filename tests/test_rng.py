@@ -9,8 +9,8 @@ trie miss reads its lowest shot, and for index arrays, as routing reads a
 group, at any k in any order: in increasing k over all rows, depth-first
 as routing splits groups, for a lone row continued past routed draws and
 at k up to 10**6.  Reads leave no trace on other rows.  outcomes(rows, k,
-p1) computes no draw where a fixed p1 needs none; and a run never loads
-numpy.random.
+p1) is draws(rows, k) < p1 at any p1, fixed ones included, in the rows'
+shape; and a run never loads numpy.random.
 """
 
 import json
@@ -37,14 +37,15 @@ FIRST_SHOTS = st.one_of(
     st.integers(1, 4).map(lambda k: k * SHOT_CHUNK - 20),
 )
 MAX_ROWS = 48
-FIXED_P1 = st.sampled_from([0.0, 1.0, 1.0000000000000002])
+# p1 values that fix the outcome (the first three) or leave it in doubt
+P1 = st.sampled_from([0.0, 1.0, 1.0000000000000002, 0.9999999999999998, 5e-324, 0.5])
 # (rows, k, p1): a lone row or an index array (taken mod the row count), a
-# draw index, and None to read draws or a fixed p1 to read outcomes
+# draw index, and None to read draws or a p1 to read outcomes
 READS = st.lists(st.tuples(
     st.one_of(st.integers(0, MAX_ROWS - 1),
               st.lists(st.integers(0, MAX_ROWS - 1), min_size=1, max_size=MAX_ROWS)),
     st.one_of(st.integers(0, 7), st.integers(0, 300)),
-    st.one_of(st.none(), FIXED_P1),
+    st.one_of(st.none(), P1),
 ), min_size=1, max_size=12)
 
 
@@ -56,24 +57,31 @@ def bits(values):
     return np.asarray(values).view(np.uint64)
 
 
+def read(streams, rows, k, p1, expected):
+    """Check `rows`' k-th draws, or their outcomes at `p1`, against `expected` uniforms."""
+    if p1 is None:
+        assert np.array_equal(bits(streams.draws(rows, k)), bits(expected))
+    else:
+        ones = streams.outcomes(rows, k, p1)
+        assert np.shape(ones) == np.shape(rows) and not isinstance(ones, bool)
+        assert np.array_equal(ones, expected < p1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS, FIRST_SHOTS, st.integers(1, MAX_ROWS), READS)
 @example(seed=2 ** 32 - 1, first=2 ** 32 - 24, count=48,
          reads=[(list(range(48)), 2, None), (23, 1, None), (list(range(48)), 0, None)])
 @example(seed=3 ** 130, first=2 ** 32 - 24, count=48, reads=[([47, 0, 47], 3, None), (24, 3, 0.0)])
-@example(seed=0, first=0, count=1, reads=[(0, 0, None), (0, 300, 1.0), (0, 300, None)])
+@example(seed=0, first=0, count=1, reads=[(0, 0, None), (0, 300, 1.0), (0, 300, 0.5)])
 def test_draws_equal_shot_rng_for_any_rows_and_k(seed, first, count, reads):
     """Random row subsets read random draw indices, decreasing and repeated
     ones included; a lone row is a numpy scalar, as a miss reads its shot."""
-    expected = bits(reference(seed, first, count, max(k for _, k, _ in reads) + 1))
+    expected = reference(seed, first, count, max(k for _, k, _ in reads) + 1)
     streams = ShotStreams(seed, first, count)
-    for picked, k, fixed in reads:
+    for picked, k, p1 in reads:
         rows = np.arange(count)[picked % count] if isinstance(picked, int) else \
             np.array(picked) % count
-        if fixed is None:
-            assert np.array_equal(bits(streams.draws(rows, k)), expected[rows, k])
-        else:  # one bool for all rows, so no draw
-            assert streams.outcomes(rows, k, fixed) is (fixed >= 1.0)
+        read(streams, rows, k, p1, expected[rows, k])
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,28 +131,18 @@ def test_a_continued_stream_equals_shot_rng_after_routed_draws(seed, first, coun
 ROUTED_DEPTHS = 6
 
 
-def read(streams, rows, k, fixed):
-    """`rows`' k-th uniforms, or None where a `fixed` p1 lets them skip the draw."""
-    if fixed is None:
-        return streams.draws(rows, k)
-    assert streams.outcomes(rows, k, fixed) is (fixed >= 1.0)  # one bool for all rows
-    return None
-
-
 @settings(max_examples=100, deadline=None)
 @given(SEEDS, FIRST_SHOTS, st.integers(1, 40), st.data())
 def test_draws_equal_shot_rng_in_routing_order(seed, first, count, data):
     """Random subsets read depth-first, as run_program routes: a part goes
     deeper while its sibling waits, then reads the shallower depth.  At
-    each depth a part draws or, where p1 fixes its outcome, skips the draw."""
-    expected = bits(reference(seed, first, count, ROUTED_DEPTHS))
+    each depth a part reads its draws or its outcomes at some p1."""
+    expected = reference(seed, first, count, ROUTED_DEPTHS)
     streams = ShotStreams(seed, first, count)
     waiting = [(np.arange(count), 0)]
     while waiting:
         rows, k = waiting.pop()
-        got = read(streams, rows, k, data.draw(st.one_of(st.none(), FIXED_P1)))
-        if got is not None:
-            assert np.array_equal(bits(got), expected[rows, k])
+        read(streams, rows, k, data.draw(st.one_of(st.none(), P1)), expected[rows, k])
         if k + 1 < ROUTED_DEPTHS:
             mask = data.draw(st.integers(0, 2 ** rows.size - 1))
             ones = (mask >> np.arange(rows.size) & 1).astype(bool)
