@@ -203,21 +203,21 @@ class OutcomeTrie:
     def store(self, node: _Node, amplitudes, resume: tuple, waiting: list):
         """Store the state where a group parts, within MAX_STORED_AMPLITUDES.
 
-        The states of one run are of one size.  A full budget drops the
-        states no group on `waiting` resumes from; if each is needed, the
-        shallowest gives way to a deeper `node`.
+        The states of one run are of one size.  A full budget evicts one:
+        the deepest state no group on `waiting` resumes from or, if each is
+        needed, the shallowest, and that only for a deeper `node`.
         """
         if amplitudes is None:
             return
         if (len(self.stored) + 1) * amplitudes.size > MAX_STORED_AMPLITUDES:
             needed = {walk[0][0] for walk in (_walk(up, slot) for _, up, slot in waiting) if walk}
-            shallowest = min(self.stored, key=lambda old: old.k, default=node)
-            drop = [old for old in self.stored if old not in needed]
-            if not drop and shallowest.k >= node.k:
+            free = [old for old in self.stored if old not in needed]
+            old = (max(free, key=lambda old: old.k) if free
+                   else min(self.stored, key=lambda old: old.k, default=node))
+            if not free and old.k >= node.k:
                 return
-            for old in drop or [shallowest]:
-                del self.stored[old]
-                old.state = old.resume = None
+            del self.stored[old]
+            old.state = old.resume = None
         self.stored[node] = None
         node.state, node.resume = amplitudes.copy(), resume
 

@@ -373,6 +373,20 @@ def allocated_states():
 
 
 @contextlib.contextmanager
+def applied_gates():
+    """Collect the gate of each StatevectorBackend.apply_gate call."""
+    gates = []
+    real_apply = StatevectorBackend.apply_gate
+
+    def apply_gate(backend, gate):
+        gates.append(gate)
+        real_apply(backend, gate)
+
+    with mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
+        yield gates
+
+
+@contextlib.contextmanager
 def captured_trie():
     """Collect the OutcomeTrie each run_program builds."""
     tries = []
@@ -405,20 +419,22 @@ def trie_nodes(node):
                      for below in trie_nodes(child)]
 
 
-@pytest.mark.parametrize("workload, shots, nodes", [("teleport", 16384, 3),
-                                                    ("ffloop-n14", 48, 1089)])
-def test_every_trie_node_is_a_draw_in_doubt(workload, shots, nodes, tmp_path):
+@pytest.mark.parametrize("workload, shots, nodes, most_gates", [("teleport", 16384, 3, 10),
+                                                                ("ffloop-n14", 48, 1089, 15070)])
+def test_every_trie_node_is_a_draw_in_doubt(workload, shots, nodes, most_gates, tmp_path):
     # teleport's five draws a shot hold two in doubt: one node for draw 0
-    # and one for draw 2 under each of its outcomes
+    # and one for draw 2 under each of its outcomes.  The gate calls bound
+    # the benchmark workloads' work: a change of eviction must not raise them.
     root = pathlib.Path(__file__).parent.parent
     path = tmp_path / "program.ll"
     subprocess.run([sys.executable, str(root / "perfbench" / "workloads.py"), workload,
                     "--seed", "0", str(path)], check=True, cwd=root, capture_output=True)
-    with captured_trie() as tries:
+    with captured_trie() as tries, applied_gates() as gates:
         run(path.read_text(), shots=shots, seed=0)
     [trie] = tries
     got = trie_nodes(trie.root)[1:]
     assert len(got) == trie.nodes == nodes
+    assert len(gates) <= most_gates
     assert all(0.0 < node.p1 < 1.0 for node in got)
     assert all(node.k > node.up[0].k for node in got if node.up[0] is not trie.root)
 
@@ -531,19 +547,11 @@ def test_a_miss_computes_no_gate_before_its_stored_state():
     lines += [call("h", qubit(1)), mz(1, 0), call("h", qubit(1)), mz(1, 1)]
     source = program(lines, 2, [0, 1], 2)
     assert_matches_reference(source, shots=64, seed=1)
-    on_qubit_0 = []
-    real_apply = StatevectorBackend.apply_gate
-
-    def apply_gate(backend, gate):
-        on_qubit_0.extend(q for q in gate.targets if q == 0)
-        real_apply(backend, gate)
-
-    with allocated_states() as states, \
-            mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
+    with allocated_states() as states, applied_gates() as applied:
         histogram = run(source, shots=64, seed=1).histogram
     assert len(histogram) == len(states) == 4
     assert sum(state is not None for state in states) == 3
-    assert len(on_qubit_0) == gates
+    assert sum(0 in gate.targets for gate in applied) == gates
 
 
 def test_parted_shots_resume_from_a_stored_state_with_its_values_and_records():
@@ -615,26 +623,23 @@ def test_each_history_prefix_runs_its_gates_once():
     shots, seed = 64, 3
     gates = gates_per_history_prefix(source, shots, seed)
     assert len(gates) == 1 + 2 * (2 + 4 + 8 + 16)  # every history occurs
-    counted = []
-    real_apply = StatevectorBackend.apply_gate
-
-    def apply_gate(backend, gate):
-        counted.append(gate)
-        real_apply(backend, gate)
-
     with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 16 * 4):  # 16 states
         assert_matches_reference(source, shots, seed)
-        with mock.patch.object(StatevectorBackend, "apply_gate", apply_gate):
+        with applied_gates() as counted:
             run(source, shots, seed)
     assert len(counted) == sum(gates.values())
 
 
 def test_a_full_budget_gives_a_needed_state_to_a_deeper_parting():
-    trie = interpreter.OutcomeTrie()
-    nodes = [trie.root]
-    for k in range(3):
-        nodes.append(interpreter._Node(0.5, k, (nodes[-1], 0)))
-    _, first, second, third = nodes
+    def chain():
+        """A new trie, and three nodes down its outcome-0 slots."""
+        trie = interpreter.OutcomeTrie()
+        nodes = [trie.root]
+        for k in range(3):
+            nodes.append(interpreter._Node(0.5, k, (nodes[-1], 0)))
+        return trie, *nodes[1:]
+
+    trie, first, second, third = chain()
     amplitudes, rows = np.ones(4, dtype=complex), np.arange(2)
     with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 8):  # two states
         trie.store(first, amplitudes, (), [])
@@ -647,9 +652,16 @@ def test_a_full_budget_gives_a_needed_state_to_a_deeper_parting():
         # ... but not to a shallower one
         trie.store(first, amplitudes, (), waiting + [(rows, third, 1)])
         assert list(trie.stored) == [second, third] and first.state is None
-        # states no waiting group resumes from are dropped first
+        # a state no waiting group resumes from gives way first ...
         trie.store(first, amplitudes, (), [(rows, third, 1)])
         assert list(trie.stored) == [third, first]
+        # ... one state, the deepest: the shallow one, where later chunks
+        # resume, stays
+        trie, first, second, third = chain()
+        for node in first, second, third:
+            trie.store(node, amplitudes, (), [])
+        assert list(trie.stored) == [first, third] and second.state is second.resume is None
+        assert first.state is not None
 
 
 def test_a_two_state_budget_evicts_and_matches_the_per_shot_loop():
@@ -669,6 +681,25 @@ def test_a_two_state_budget_evicts_and_matches_the_per_shot_loop():
     with allocated_states() as states:
         run(source, shots=64, seed=2)
     assert states[0] is None and all(state is not None for state in states[1:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_later_chunks_resume_from_the_state_before_the_first_measurement(seed):
+    # three layers of ry on 8 qubits, then a measurement of each: every gate
+    # comes before the first draw, and 512 shots in chunks of 64 reach many
+    # histories, so the 8-state budget fills within a chunk.  A state that
+    # no waiting group needs at a chunk's end, the one before the first
+    # measurement above all, is what the next chunk's misses resume from.
+    n = 8
+    lines = [call("ry", f"double {hexdouble(1.3 + 0.05 * q + 0.02 * layer)}", qubit(q))
+             for layer in range(3) for q in range(n)]
+    lines += [mz(q, q) for q in range(n)]
+    source = program(lines, n, range(n), n)
+    with mock.patch.multiple(interpreter, SHOT_CHUNK=64, MAX_STORED_AMPLITUDES=8 * 2 ** n):
+        assert_matches_reference(source, shots=512, seed=seed)
+        with applied_gates() as gates:
+            run(source, shots=512, seed=seed)
+    assert len(gates) == 3 * n
 
 
 READ_C = f"  %c = call i1 @__quantum__qis__read_result__body({result(0)})"
