@@ -6,7 +6,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .backends import DEFAULT_MAX_QUBITS, lower_gate
+from .backends import lower_gate, qubit_limit_error
 from .errors import AmbiguousEntry, EntryPointError, NoEntry
 from .ir import (
     BoolVar,
@@ -236,8 +236,7 @@ def validate_profile(
     """
     diagnostics = []
     fn = module.function(entry.function_name)
-    if entry.num_qubits > DEFAULT_MAX_QUBITS:
-        message = f"{entry.num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
+    if message := qubit_limit_error(entry.num_qubits):
         diagnostics.append(Diagnostic("error", message, fn.name))
     measured = set()
     read_results = []

@@ -21,6 +21,12 @@ from .registry import GateId
 DEFAULT_MAX_QUBITS = 24
 
 
+def qubit_limit_error(num_qubits: int):
+    """The message for a count above DEFAULT_MAX_QUBITS, or None within it."""
+    return (f"{num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
+            if num_qubits > DEFAULT_MAX_QUBITS else None)
+
+
 class StatevectorBackend:
     """Exact simulation over all 2^n complex amplitudes.
 
@@ -48,10 +54,8 @@ class StatevectorBackend:
 
     def allocate(self, num_qubits: int, state=None):
         """Start a shot in |0...0>, or in a copy of the 2^n amplitudes `state`."""
-        if num_qubits > DEFAULT_MAX_QUBITS:
-            raise RuntimeFault(
-                f"{num_qubits} qubits exceeds the maximum of {DEFAULT_MAX_QUBITS}"
-            )
+        if message := qubit_limit_error(num_qubits):
+            raise RuntimeFault(message)
         self.n = num_qubits
         self.scratch = np.empty((4, 2 ** max(num_qubits - 1, 0)), dtype=complex)
         if state is None:

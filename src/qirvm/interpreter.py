@@ -203,17 +203,17 @@ class OutcomeTrie:
     def store(self, node: _Node, amplitudes, resume: tuple, waiting: list):
         """Store the state where a group parts, within MAX_STORED_AMPLITUDES.
 
-        The states of one run are of one size.  A full budget evicts one:
-        the deepest state no group on `waiting` resumes from or, if each is
-        needed, the shallowest, and that only for a deeper `node`.
+        A run's states are of one size; the budget holds at least one.  A full
+        budget evicts one: the deepest state no group on `waiting` resumes
+        from or, if each is needed, the shallowest, only for a deeper `node`.
         """
         if amplitudes is None:
             return
-        if (len(self.stored) + 1) * amplitudes.size > MAX_STORED_AMPLITUDES:
+        if len(self.stored) >= max(1, MAX_STORED_AMPLITUDES // amplitudes.size):
             needed = {walk[0][0] for walk in (_walk(up, slot) for _, up, slot in waiting) if walk}
             free = [old for old in self.stored if old not in needed]
             old = (max(free, key=lambda old: old.k) if free
-                   else min(self.stored, key=lambda old: old.k, default=node))
+                   else min(self.stored, key=lambda old: old.k))
             if not free and old.k >= node.k:
                 return
             del self.stored[old]

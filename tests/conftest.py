@@ -15,6 +15,15 @@ TELEPORT_LL = (FIXTURES / "teleport.ll").read_text()
 QPE_LL = (FIXTURES / "qpe_phi_third_k5.ll").read_text()
 TELEPORT_CALLS = 17  # call instructions in teleport.ll
 
+# a character no token starts with, on line 3: a parse error names it there
+BAD_CHARACTER_LL = """define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(%Qubit* null) ^
+  ret void
+}
+"""
+BAD_CHARACTER_ERROR = "line 3:52: unexpected character '^'"
+
 
 @pytest.fixture
 def teleport_module():

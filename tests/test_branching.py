@@ -12,6 +12,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import struct
 import subprocess
 import sys
@@ -268,19 +269,21 @@ def feed_forward_programs(draw):
 
 
 # Small budgets make misses replay from an ancestor's stored state, or from
-# |0...0>, and stop the trie growing partway through a run.  A small chunk
-# makes runs of up to 64 shots cross several chunk boundaries.
+# |0...0>, and stop the trie growing partway through a run.  A budget is
+# (amplitudes, states of the program's size); a zero budget holds one state.
+# A small chunk makes runs of up to 64 shots cross several chunk boundaries.
+BUDGETS = [(interpreter.MAX_STORED_AMPLITUDES, 0), (32, 0), (8, 0), (0, 0), (0, 1), (0, 2)]
 SMALL_CHUNK = 5
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(feed_forward_programs(), st.integers(1, 64), st.integers(0, 2 ** 32),
-       st.sampled_from([interpreter.MAX_STORED_AMPLITUDES, 32, 8, 0]),
-       st.sampled_from([interpreter.MAX_TRIE_NODES, 3]),
+       st.sampled_from(BUDGETS), st.sampled_from([interpreter.MAX_TRIE_NODES, 3]),
        st.sampled_from([interpreter.SHOT_CHUNK, SMALL_CHUNK]))
-def test_run_program_matches_per_shot_loop(source, shots, seed, max_amplitudes, max_nodes,
-                                           chunk):
-    with mock.patch.multiple(interpreter, MAX_STORED_AMPLITUDES=max_amplitudes,
+def test_run_program_matches_per_shot_loop(source, shots, seed, budget, max_nodes, chunk):
+    amplitudes, states = budget
+    amplitudes += states << find_entry(parse_module(source)).num_qubits
+    with mock.patch.multiple(interpreter, MAX_STORED_AMPLITUDES=amplitudes,
                              MAX_TRIE_NODES=max_nodes, SHOT_CHUNK=chunk):
         assert_matches_reference(source, shots, seed)
 
@@ -402,11 +405,12 @@ def captured_trie():
 
 def test_a_miss_from_block_0_counts_its_fixed_first_draw():
     # draw 0 (qubit 1 at |0>) is fixed and makes no node, so the first node
-    # is draw 1; with no state stored, the shots that part there replay from
-    # block 0, and their draw 2 must read uniform 2, not uniform 3
+    # is draw 1; with no state stored (every budget holds one, so `store` is
+    # patched to keep none), the shots that part there replay from block 0,
+    # and their draw 2 must read uniform 2, not uniform 3
     lines = [mz(1, 0), call("h", qubit(0)), mz(0, 1), call("h", qubit(0)), mz(0, 2)]
     source = program(lines, 2, [0, 1, 2], 3)
-    with mock.patch.object(interpreter, "MAX_STORED_AMPLITUDES", 0), \
+    with mock.patch.object(interpreter.OutcomeTrie, "store", lambda *args: None), \
             captured_trie() as tries:
         for seed in range(4):
             assert_matches_reference(source, shots=32, seed=seed)
@@ -439,7 +443,7 @@ def test_every_trie_node_is_a_draw_in_doubt(workload, shots, nodes, most_gates, 
     assert all(node.k > node.up[0].k for node in got if node.up[0] is not trie.root)
 
 
-def test_state_too_large_to_store_starts_misses_from_zero_state():
+def test_a_state_larger_than_the_budget_is_stored_alone():
     n = 17
     assert 2 ** n > interpreter.MAX_STORED_AMPLITUDES
     lines = [call("h", qubit(0)), mz(0, 0), *branch(0, 0, [call("x", qubit(n - 1))], []),
@@ -448,10 +452,26 @@ def test_state_too_large_to_store_starts_misses_from_zero_state():
     assert_matches_reference(source, shots=24, seed=3)
     with allocated_states() as states, captured_trie() as tries:
         run(source, shots=24, seed=3)
-    # every miss after the first replays a walk, and each starts from |0...0>
-    assert len(states) > 1 and all(state is None for state in states)
+    # the budget holds one state.  The parting at draw 1 takes the place of
+    # draw 0's, so the miss there resumes from it; the miss at draw 0's other
+    # outcome starts from |0...0>, and the one it leaves at draw 1 resumes
+    assert [state is None for state in states] == [True, False, True, False]
     [trie] = tries
-    assert trie.nodes > 0 and not trie.stored
+    assert len(trie.stored) == 1
+
+
+def test_ghz_17_applies_each_gate_once():
+    # draw 0 is the only one in doubt: the 17 gates run once, and the shots
+    # of its other outcome resume from the state stored there
+    n = 17
+    lines = [call("h", qubit(0)), *(call("cnot", qubit(0), qubit(q)) for q in range(1, n)),
+             *(mz(q, q) for q in range(n))]
+    source = program(lines, n, range(n), n)
+    assert_matches_reference(source, shots=64, seed=0)
+    with applied_gates() as gates:
+        histogram = run(source, shots=64, seed=0).histogram
+    assert sorted(histogram) == ["0" * n, "1" * n]
+    assert len(gates) == n
 
 
 # prints the tracemalloc peak of a warm run_program of the program on stdin
@@ -482,6 +502,28 @@ def test_a_deep_program_peaks_within_a_mebibyte_of_its_64_shot_peak():
         [sys.executable, "-c", TRACED_PEAK, str(shots)], input=source, env=env,
         capture_output=True, text=True, check=True, timeout=120).stdout) for shots in (64, 4096))
     assert many - few < 1 << 20
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+
+@pytest.mark.parametrize("fixed_first", [False, True], ids=["deep", "fixed-first"])
+def test_a_million_shots_of_1000_fixed_draws_fit_in_a_gigabyte(fixed_first, tmp_path):
+    # h, mz, then 1,000 mz of a qubit at |0>: a draw whose p1 is 0 computes no
+    # uniform and makes no node, so 10^6 shots route through one node a chunk.
+    # With the fixed draws first, that node is draw 1,000, and a shot that
+    # resumes there counts its draws from it.
+    coin, fixed = [call("h", qubit(0)), mz(0, 0)], [mz(1, 1)] * 1000
+    path = tmp_path / "program.ll"
+    path.write_text(program(fixed + coin if fixed_first else coin + fixed, 2, [0, 1], 2))
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    first, second = (subprocess.run(
+        [sys.executable, "-m", "qirvm.cli", "run", str(path), "--shots", "1000000"], env=env,
+        capture_output=True, check=True, timeout=30, preexec_fn=cap_address_space).stdout
+        for _ in range(2))
+    assert first == second
+    assert json.loads(first)["histogram"].keys() == {"00", "10"}
 
 
 # p1 values at which a draw is fixed (the first three) or in doubt: u < p1

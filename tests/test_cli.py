@@ -19,7 +19,7 @@ from qirvm.cli import (
     main,
 )
 
-from conftest import TELEPORT_LL, make_program
+from conftest import BAD_CHARACTER_ERROR, BAD_CHARACTER_LL, TELEPORT_LL, make_program
 
 
 @pytest.fixture
@@ -99,6 +99,12 @@ def test_parse_error_names_construct_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "phi" in err
     assert "line 8" in err
+
+
+def test_a_bad_character_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, BAD_CHARACTER_LL)
+    assert main(["run", path]) == EX_DATAERR
+    assert capsys.readouterr().err == f"error: {path}: {BAD_CHARACTER_ERROR}\n"
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

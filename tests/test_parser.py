@@ -14,7 +14,14 @@ from qirvm.ir import (
 )
 from qirvm.parser import parse_double_literal
 
-from conftest import QPE_LL, TELEPORT_CALLS, TELEPORT_LL, make_program
+from conftest import (
+    BAD_CHARACTER_ERROR,
+    BAD_CHARACTER_LL,
+    QPE_LL,
+    TELEPORT_CALLS,
+    TELEPORT_LL,
+    make_program,
+)
 from irprint import render_module, same_records
 from test_properties import FUZZ_BASE
 
@@ -206,6 +213,12 @@ class TestParseErrors:
         assert exc.value.line == 8
         assert exc.value.line <= src.count("\n") + 1
         assert "phi" in str(exc.value)
+
+    def test_a_character_no_token_starts_with_is_named(self):
+        # no rule accepts it, so the error names it rather than what the rule expected
+        with pytest.raises(ParseError) as exc:
+            parse_module(BAD_CHARACTER_LL)
+        assert str(exc.value) == BAD_CHARACTER_ERROR
 
     def test_duplicate_block_label(self):
         src = make_program("entry:\n  br label %entry2\nentry2:\n  br label %entry2\nentry2:\n  ret void")
